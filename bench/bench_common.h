@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -376,31 +375,6 @@ inline std::string NetLoadJsonRow(int connections, const char* transport,
       .Field("query_errors", query_errors)
       .Field("protocol_errors", protocol_errors)
       .Field("reconnects", reconnects);
-  return row.Done();
-}
-
-/// One row of the node-layout A/B sweep (bench/micro_core
-/// --layout_json): the same deterministic workload timed against the
-/// pointer-era node layout (heap child vectors) and the flat
-/// breadth-ordered arena. `ops` is the per-repetition operation count
-/// the ns figures are normalized by; `checksums_match` pins that both
-/// layouts computed the same answer (a timing row for diverging work
-/// would be meaningless). Shared with tests/bench_json_test so the
-/// emitted shape stays valid JSON.
-inline std::string LayoutCellJsonRow(const char* cell, int64_t ops,
-                                     double pointer_ns_per_op,
-                                     double arena_ns_per_op,
-                                     int64_t pointer_checksum,
-                                     int64_t arena_checksum) {
-  JsonObject row;
-  row.Field("cell", cell)
-      .Field("ops", ops)
-      .Field("pointer_ns_per_op", pointer_ns_per_op)
-      .Field("arena_ns_per_op", arena_ns_per_op)
-      .Field("speedup", arena_ns_per_op > 0.0
-                            ? pointer_ns_per_op / arena_ns_per_op
-                            : std::numeric_limits<double>::quiet_NaN())
-      .Field("checksums_match", pointer_checksum == arena_checksum ? 1 : 0);
   return row.Done();
 }
 

@@ -6,25 +6,19 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstring>
-#include <functional>
 #include <mutex>
+#include <utility>
+#include <vector>
 
-#include "bench_common.h"
 #include "common/rng.h"
 #include "common/sync.h"
 #include "common/sync_stats.h"
 #include "core/engine.h"
-#include "core/node_arena.h"
 #include "core/sampling.h"
 #include "core/slot_cache.h"
 #include "core/tree.h"
 #include "rtree/rtree.h"
 #include "sensor/network.h"
-#include "workload/live_local.h"
 
 namespace colr {
 namespace {
@@ -276,250 +270,7 @@ void BM_ColrTreeInsertReading(benchmark::State& state) {
 }
 BENCHMARK(BM_ColrTreeInsertReading);
 
-// ---------------------------------------------------------------------------
-// Node-layout A/B cells (--layout_json=PATH): the traversal and
-// recompute inner loops timed against the pointer-era node layout and
-// the flat breadth-ordered arena on an identical cluster hierarchy.
-// Deterministic (fixed seeds, fixed iteration order); best-of-R wall
-// timing; each cell checks both layouts computed the same answer.
-// scripts/check.sh runs this as its layout perf smoke.
-// ---------------------------------------------------------------------------
-
-// Faithful reconstruction of the pre-arena ColrTree node storage: one
-// record per node with a heap-allocated child-id vector, numbered in
-// the cluster build's DFS preorder. Exists only as the A/B baseline.
-// colr-lint: allow(arena-layout)
-struct PointerNode {
-  Rect bbox;
-  int level = 0;
-  int item_begin = 0;
-  int item_end = 0;
-  std::vector<int> children;  // colr-lint: allow(arena-layout)
-};
-
-std::vector<PointerNode> BuildPointerNodes(const ClusterTree& ct) {
-  std::vector<PointerNode> nodes(ct.nodes.size());
-  for (size_t i = 0; i < ct.nodes.size(); ++i) {
-    nodes[i].bbox = ct.nodes[i].bbox;
-    nodes[i].level = ct.nodes[i].level;
-    nodes[i].item_begin = ct.nodes[i].item_begin;
-    nodes[i].item_end = ct.nodes[i].item_end;
-    nodes[i].children = ct.nodes[i].children;
-  }
-  return nodes;
-}
-
-double BestOfRepsNs(int reps, const std::function<void()>& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                      .count()));
-  }
-  return best;
-}
-
-std::vector<Rect> LayoutQueryRects(int count, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Rect> rects;
-  rects.reserve(count);
-  for (int i = 0; i < count; ++i) {
-    const double side = rng.Uniform(5.0, 40.0);
-    const double x = rng.Uniform(0.0, 100.0 - side);
-    const double y = rng.Uniform(0.0, 100.0 - side);
-    rects.push_back(Rect::FromCorners(x, y, x + side, y + side));
-  }
-  return rects;
-}
-
-/// Node-identity-derived slot fill, so the same underlying cluster
-/// gets identical aggregates under both numberings and the recompute
-/// checksums can be compared across layouts.
-void FillLayoutCache(AggregateSlotCache& cache, const SlotScheme& scheme,
-                     int level, int item_begin, int item_end) {
-  for (SlotId s = scheme.oldest(); s <= scheme.newest(); ++s) {
-    cache.Add(scheme, s,
-              0.001 * (item_begin + item_end) + level + 0.1 * s);
-    cache.Add(scheme, s, 0.002 * item_begin + 0.5);
-  }
-}
-
-int RunLayoutCells(const char* json_path, int sensors) {
-  auto infos = BenchSensors(sensors);
-  std::vector<Point> points;
-  points.reserve(infos.size());
-  for (const auto& s : infos) points.push_back(s.location);
-  ClusterTreeOptions copts;
-  copts.fanout = 8;
-  copts.leaf_capacity = 32;
-  const ClusterTree ct = BuildClusterTree(points, copts);
-  const std::vector<PointerNode> pnodes = BuildPointerNodes(ct);
-  const NodeArena arena(ct);
-
-  constexpr int kReps = 7;
-  std::vector<std::string> rows;
-
-  // --- Cell 1: MBR-overlap range traversal --------------------------------
-  // DFS descent counting every node whose MBR overlaps the query — the
-  // ExecuteRange skeleton with the result-assembly stripped away so
-  // the timing isolates child-MBR testing + node access.
-  {
-    const std::vector<Rect> rects = LayoutQueryRects(256, 0xB0B);
-    int64_t pointer_sum = 0;
-    auto pointer_pass = [&] {
-      pointer_sum = 0;
-      std::vector<int> stack;
-      for (const Rect& q : rects) {
-        if (ct.root < 0 || !pnodes[ct.root].bbox.Intersects(q)) continue;
-        stack.clear();
-        stack.push_back(ct.root);
-        while (!stack.empty()) {
-          const int id = stack.back();
-          stack.pop_back();
-          ++pointer_sum;
-          for (int c : pnodes[id].children) {
-            if (pnodes[c].bbox.Intersects(q)) stack.push_back(c);
-          }
-        }
-      }
-    };
-    int64_t arena_sum = 0;
-    auto arena_pass = [&] {
-      arena_sum = 0;
-      std::vector<int> stack;
-      std::vector<int> hits(arena.max_fanout());
-      for (const Rect& q : rects) {
-        if (arena.root() < 0 || !arena.record(arena.root()).bbox.Intersects(q))
-          continue;
-        stack.clear();
-        stack.push_back(arena.root());
-        while (!stack.empty()) {
-          const int id = stack.back();
-          stack.pop_back();
-          ++arena_sum;
-          const int k = arena.OverlapChildren(id, q, hits.data());
-          for (int t = 0; t < k; ++t) stack.push_back(hits[t]);
-        }
-      }
-    };
-    const double pointer_ns = BestOfRepsNs(kReps, pointer_pass);
-    const double arena_ns = BestOfRepsNs(kReps, arena_pass);
-    const int64_t ops = static_cast<int64_t>(rects.size());
-    rows.push_back(bench::LayoutCellJsonRow(
-        "traversal_mbr_overlap", ops, pointer_ns / ops, arena_ns / ops,
-        pointer_sum, arena_sum));
-    std::printf("traversal_mbr_overlap: pointer %.0f ns/query, "
-                "arena %.0f ns/query (%.2fx), visited %lld == %lld\n",
-                pointer_ns / ops, arena_ns / ops, pointer_ns / arena_ns,
-                static_cast<long long>(pointer_sum),
-                static_cast<long long>(arena_sum));
-  }
-
-  // --- Cell 2: recompute-from-children slot scan --------------------------
-  // The RecomputeSlotFromChildren inner loop: merge every child's slot
-  // aggregate into a fresh aggregate, for every internal node and
-  // every slot. The pointer layout chases each node's heap child
-  // vector; the arena scans the contiguous child block.
-  {
-    const SlotScheme scheme(kMin, 5 * kMin);
-    std::vector<AggregateSlotCache> pointer_caches;
-    std::vector<AggregateSlotCache> arena_caches;
-    for (size_t i = 0; i < pnodes.size(); ++i) {
-      pointer_caches.emplace_back(scheme.num_slots());
-      FillLayoutCache(pointer_caches.back(), scheme, pnodes[i].level,
-                      pnodes[i].item_begin, pnodes[i].item_end);
-    }
-    for (size_t i = 0; i < arena.size(); ++i) {
-      const ArenaNodeRecord& r = arena.record(static_cast<int>(i));
-      arena_caches.emplace_back(scheme.num_slots());
-      FillLayoutCache(arena_caches.back(), scheme, r.level, r.item_begin,
-                      r.item_end);
-    }
-    int64_t pointer_sum = 0;
-    int64_t recomputes = 0;
-    auto pointer_pass = [&] {
-      pointer_sum = 0;
-      recomputes = 0;
-      for (size_t id = 0; id < pnodes.size(); ++id) {
-        if (pnodes[id].children.empty()) continue;
-        for (SlotId s = scheme.oldest(); s <= scheme.newest(); ++s) {
-          Aggregate agg;
-          for (int c : pnodes[id].children) {
-            agg.Merge(pointer_caches[c].Get(scheme, s));
-          }
-          pointer_sum += agg.count + std::llround(agg.sum * 1e3);
-          ++recomputes;
-        }
-      }
-    };
-    int64_t arena_sum = 0;
-    auto arena_pass = [&] {
-      arena_sum = 0;
-      for (size_t id = 0; id < arena.size(); ++id) {
-        const ArenaNodeRecord& r = arena.record(static_cast<int>(id));
-        if (r.IsLeaf()) continue;
-        const int child_end = r.child_begin + r.child_count;
-        for (SlotId s = scheme.oldest(); s <= scheme.newest(); ++s) {
-          Aggregate agg;
-          for (int c = r.child_begin; c < child_end; ++c) {
-            agg.Merge(arena_caches[c].Get(scheme, s));
-          }
-          arena_sum += agg.count + std::llround(agg.sum * 1e3);
-        }
-      }
-    };
-    const double pointer_ns = BestOfRepsNs(kReps, pointer_pass);
-    const double arena_ns = BestOfRepsNs(kReps, arena_pass);
-    rows.push_back(bench::LayoutCellJsonRow(
-        "slot_recompute", recomputes, pointer_ns / recomputes,
-        arena_ns / recomputes, pointer_sum, arena_sum));
-    std::printf("slot_recompute: pointer %.1f ns/recompute, "
-                "arena %.1f ns/recompute (%.2fx), checksum %lld == %lld\n",
-                pointer_ns / recomputes, arena_ns / recomputes,
-                pointer_ns / arena_ns, static_cast<long long>(pointer_sum),
-                static_cast<long long>(arena_sum));
-  }
-
-  bench::BenchConfig cfg;
-  cfg.sensors = sensors;
-  cfg.queries = 0;
-  cfg.json_path = json_path;
-  bench::WriteJsonReport(cfg, "micro_core_layout", rows);
-  for (const std::string& row : rows) {
-    if (row.find("\"checksums_match\": 1") == std::string::npos) {
-      std::fprintf(stderr, "layout checksum mismatch: %s\n", row.c_str());
-      return 1;
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace colr
 
-// Custom main: `--layout_json=PATH [--layout_sensors=N]` runs the
-// deterministic layout A/B cells instead of google-benchmark;
-// everything else is stock BENCHMARK_MAIN behaviour.
-int main(int argc, char** argv) {
-  const char* layout_json = nullptr;
-  int layout_sensors = 20000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--layout_json=", 14) == 0) {
-      layout_json = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--layout_sensors=", 17) == 0) {
-      layout_sensors = std::atoi(argv[i] + 17);
-    }
-  }
-  if (layout_json != nullptr) {
-    return colr::RunLayoutCells(layout_json, layout_sensors);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

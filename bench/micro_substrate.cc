@@ -1,21 +1,14 @@
 // Microbenchmarks for the substrate layers: relational engine
-// operators, trigger cascades, portal parsing, storage primitives and
-// the MRA-tree — complementing bench/micro_core.cc's index-side
-// benchmarks.
+// operators, trigger cascades, portal parsing and the MRA-tree —
+// complementing bench/micro_core.cc's index-side benchmarks.
 
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
 
 #include "common/rng.h"
 #include "portal/parser.h"
 #include "relational/executor.h"
 #include "relational/table.h"
 #include "rtree/mra_tree.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/heap_file.h"
-#include "storage/row_codec.h"
 
 namespace colr {
 namespace {
@@ -146,55 +139,6 @@ void BM_ParsePortalQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ParsePortalQuery);
-
-// ---------------------------------------------------------------------------
-// Storage
-// ---------------------------------------------------------------------------
-
-void BM_RowCodecRoundTrip(benchmark::State& state) {
-  const Row row{Value(42), Value(3.14), Value("some-label"),
-                Value(int64_t{1234567})};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(storage::DecodeRow(storage::EncodeRow(row)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RowCodecRoundTrip);
-
-void BM_HeapFileInsert(benchmark::State& state) {
-  const std::string path = "/tmp/colr_bench_heap.db";
-  std::remove(path.c_str());
-  storage::DiskManager disk;
-  if (!disk.Open(path).ok()) return;
-  storage::BufferPool pool(&disk, 64);
-  storage::HeapFile heap(&pool);
-  const std::string record(64, 'r');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(heap.Insert(record));
-  }
-  state.SetItemsProcessed(state.iterations());
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_HeapFileInsert);
-
-void BM_BufferPoolFetchHit(benchmark::State& state) {
-  const std::string path = "/tmp/colr_bench_pool.db";
-  std::remove(path.c_str());
-  storage::DiskManager disk;
-  if (!disk.Open(path).ok()) return;
-  storage::BufferPool pool(&disk, 8);
-  storage::Page* page = nullptr;
-  auto id = pool.NewPage(&page);
-  if (!id.ok()) return;
-  pool.Unpin(*id, true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Fetch(*id));
-    pool.Unpin(*id, false);
-  }
-  state.SetItemsProcessed(state.iterations());
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_BufferPoolFetchHit);
 
 // ---------------------------------------------------------------------------
 // MRA-tree

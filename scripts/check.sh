@@ -98,35 +98,6 @@ cmake --build build-asan -j "$jobs" --target net_codec_test
 COLR_FUZZ_ITERS="${COLR_FUZZ_ITERS:-100000}" \
   ./build-asan/tests/net_codec_test --gtest_filter='*Garbage*:*Truncated*'
 
-echo "== layout: pointer-vs-arena perf smoke =="
-# The flat node arena exists to make traversal and recompute cheaper;
-# this smoke re-times both inner loops against the reconstructed
-# pointer-era layout on an identical hierarchy and fails the gate if
-# the arena regresses. Bounds are deliberately loose (best-of-7 timing
-# on a shared box still jitters): the arena must stay within 10% of
-# the pointer baseline on every cell and strictly win on traversal,
-# where the SoA + SIMD child scan is the whole point.
-./build/bench/micro_core --layout_json=/tmp/colr_layout_smoke.json
-python3 - <<'EOF'
-import json
-with open('/tmp/colr_layout_smoke.json') as f:
-    report = json.load(f)
-cells = {row['cell']: row for row in report['series']}
-assert set(cells) >= {'traversal_mbr_overlap', 'slot_recompute'}, cells
-for name, row in cells.items():
-    assert row['checksums_match'] == 1, f"{name}: layouts disagree"
-    assert row['arena_ns_per_op'] <= 1.10 * row['pointer_ns_per_op'], (
-        f"{name}: arena {row['arena_ns_per_op']:.1f} ns/op slower than "
-        f"pointer {row['pointer_ns_per_op']:.1f} ns/op")
-    print(f"{name}: pointer {row['pointer_ns_per_op']:.1f} ns/op, "
-          f"arena {row['arena_ns_per_op']:.1f} ns/op "
-          f"({row['speedup']:.2f}x)")
-trav = cells['traversal_mbr_overlap']
-assert trav['arena_ns_per_op'] < trav['pointer_ns_per_op'], (
-    "arena traversal must beat the pointer layout")
-print("layout smoke OK")
-EOF
-
 echo "== flash crowd: cross-query coalescing smoke =="
 # The probe scheduler's reason to exist: when concurrent streams slam
 # one hot viewport against a moving clock, single-flight coalescing

@@ -143,12 +143,10 @@ LAYERING_DEPS = {
     "geo": ("common",),
     "relational": ("common",),
     "sensor": ("common", "geo"),
-    "storage": ("common", "relational"),
     "cluster": ("common", "geo"),
     "workload": ("common", "geo", "sensor"),
     "core": ("common", "geo", "sensor", "cluster"),
-    "rtree": ("common", "geo", "sensor", "relational", "cluster", "core",
-              "storage"),
+    "rtree": ("common", "geo", "sensor", "relational", "cluster", "core"),
     "relcolr": ("common", "geo", "sensor", "relational", "cluster", "core"),
     "portal": ("common", "geo", "sensor", "relational", "cluster", "core"),
     "replay": ("common", "geo", "sensor", "relational", "cluster", "core",

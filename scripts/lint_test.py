@@ -65,11 +65,11 @@ SEEDED = {
         "struct BuildNode { std::vector<int> children; };\n"
         "#endif\n"
     ),
-    # Waived arena-layout (the bench pointer-baseline): must NOT be
-    # reported.
-    os.path.join("bench", "waived_baseline.cc"): (
+    # Waived arena-layout: must NOT be reported. No real site carries
+    # this waiver; the case exercises the waiver mechanism itself.
+    os.path.join("bench", "waived_node.cc"): (
         "#include <vector>\n"
-        "struct PointerNode {\n"
+        "struct WaivedNode {\n"
         "  std::vector<int> children;  // colr-lint: allow(arena-layout)\n"
         "};\n"
     ),
@@ -221,7 +221,7 @@ FORBIDDEN = [
     os.path.join("src", "common", "wrapper.h"),
     os.path.join("src", "core", "node_arena.h"),
     os.path.join("src", "cluster", "build_tree.h"),
-    os.path.join("bench", "waived_baseline.cc"),
+    os.path.join("bench", "waived_node.cc"),
     os.path.join("src", "core", "probe_scheduler.cc"),
     os.path.join("src", "replay", "waived_probe.cc"),
     os.path.join("src", "net", "transport_tcp.cc"),

@@ -417,14 +417,6 @@ class AtomicCounter {
   }
   operator T() const { return load(); }  // NOLINT: implicit by design
 
-  /// Atomically raises the stored value to at least `v`.
-  void FetchMax(T v) {
-    T cur = v_.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
  private:
   std::atomic<T> v_;
 };

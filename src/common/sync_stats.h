@@ -23,9 +23,8 @@ namespace colr {
 /// compile down to a relaxed load + branch around a plain lock(), so
 /// the disabled path is indistinguishable from using std::lock_guard
 /// directly (the overhead smoke check in scripts/check.sh pins this).
-/// Enable per process via ColrTree::Options::sync_stats or the
-/// COLR_SYNC_STATS=1 environment variable. Defining COLR_NO_SYNC_STATS
-/// removes even the branch.
+/// Enable per process via SyncStatsRegistry::Enable() or the
+/// COLR_SYNC_STATS=1 environment variable.
 ///
 /// Collection protocol: each recording thread owns a registered block
 /// of per-site accumulators and is the only writer to it (relaxed
@@ -87,11 +86,7 @@ extern std::atomic<bool> g_sync_stats_enabled;
 
 /// Hot-path guard read by every instrumented lock site.
 inline bool SyncStatsEnabled() {
-#ifdef COLR_NO_SYNC_STATS
-  return false;
-#else
   return sync_internal::g_sync_stats_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Records one acquisition into the calling thread's block (registers

@@ -9,21 +9,8 @@
 namespace colr {
 
 void QueryStats::MergeCounters(const QueryStats& other) {
-  nodes_traversed += other.nodes_traversed;
-  internal_nodes_traversed += other.internal_nodes_traversed;
-  cached_nodes_accessed += other.cached_nodes_accessed;
-  sensors_probed += other.sensors_probed;
-  probe_successes += other.probe_successes;
-  cache_readings_used += other.cache_readings_used;
-  cached_agg_readings += other.cached_agg_readings;
-  slots_merged += other.slots_merged;
-  probes_coalesced += other.probes_coalesced;
-  probes_reused += other.probes_reused;
-  probes_shed += other.probes_shed;
-  processing_ms += other.processing_ms;
-  processing_skew_ms += other.processing_skew_ms;
-  collection_latency_ms += other.collection_latency_ms;
-  result_size += other.result_size;
+#define COLR_QUERY_COUNTER(type, name) name += other.name;
+#include "core/query_counters.inc"
 }
 
 const char* ColrEngine::ModeName(Mode mode) {
@@ -159,40 +146,14 @@ QueryResult ColrEngine::Execute(const Query& query, ExecutionContext& ctx) {
 
 QueryStats ColrEngine::cumulative() const {
   QueryStats s;
-  s.nodes_traversed = cumulative_.nodes_traversed.load();
-  s.internal_nodes_traversed = cumulative_.internal_nodes_traversed.load();
-  s.cached_nodes_accessed = cumulative_.cached_nodes_accessed.load();
-  s.sensors_probed = cumulative_.sensors_probed.load();
-  s.probe_successes = cumulative_.probe_successes.load();
-  s.cache_readings_used = cumulative_.cache_readings_used.load();
-  s.cached_agg_readings = cumulative_.cached_agg_readings.load();
-  s.slots_merged = cumulative_.slots_merged.load();
-  s.probes_coalesced = cumulative_.probes_coalesced.load();
-  s.probes_reused = cumulative_.probes_reused.load();
-  s.probes_shed = cumulative_.probes_shed.load();
-  s.processing_ms = cumulative_.processing_ms.load();
-  s.processing_skew_ms = cumulative_.processing_skew_ms.load();
-  s.collection_latency_ms = cumulative_.collection_latency_ms.load();
-  s.result_size = cumulative_.result_size.load();
+#define COLR_QUERY_COUNTER(type, name) s.name = cumulative_.name.load();
+#include "core/query_counters.inc"
   return s;
 }
 
 void ColrEngine::ResetCumulative() {
-  cumulative_.nodes_traversed.store(0);
-  cumulative_.internal_nodes_traversed.store(0);
-  cumulative_.cached_nodes_accessed.store(0);
-  cumulative_.sensors_probed.store(0);
-  cumulative_.probe_successes.store(0);
-  cumulative_.cache_readings_used.store(0);
-  cumulative_.cached_agg_readings.store(0);
-  cumulative_.slots_merged.store(0);
-  cumulative_.probes_coalesced.store(0);
-  cumulative_.probes_reused.store(0);
-  cumulative_.probes_shed.store(0);
-  cumulative_.processing_ms.store(0.0);
-  cumulative_.processing_skew_ms.store(0.0);
-  cumulative_.collection_latency_ms.store(0);
-  cumulative_.result_size.store(0);
+#define COLR_QUERY_COUNTER(type, name) cumulative_.name.store(0);
+#include "core/query_counters.inc"
 }
 
 void ColrEngine::FinishQuery(const Query& query, TimeMs now,
@@ -215,21 +176,8 @@ void ColrEngine::FinishQuery(const Query& query, TimeMs now,
     }
   }
   const QueryStats& s = result->stats;
-  cumulative_.nodes_traversed += s.nodes_traversed;
-  cumulative_.internal_nodes_traversed += s.internal_nodes_traversed;
-  cumulative_.cached_nodes_accessed += s.cached_nodes_accessed;
-  cumulative_.sensors_probed += s.sensors_probed;
-  cumulative_.probe_successes += s.probe_successes;
-  cumulative_.cache_readings_used += s.cache_readings_used;
-  cumulative_.cached_agg_readings += s.cached_agg_readings;
-  cumulative_.slots_merged += s.slots_merged;
-  cumulative_.probes_coalesced += s.probes_coalesced;
-  cumulative_.probes_reused += s.probes_reused;
-  cumulative_.probes_shed += s.probes_shed;
-  cumulative_.processing_ms += s.processing_ms;
-  cumulative_.processing_skew_ms += s.processing_skew_ms;
-  cumulative_.collection_latency_ms += s.collection_latency_ms;
-  cumulative_.result_size += s.result_size;
+#define COLR_QUERY_COUNTER(type, name) cumulative_.name += s.name;
+#include "core/query_counters.inc"
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +192,6 @@ QueryResult ColrEngine::ExecuteColr(const Query& query, TimeMs now,
   LayeredSampler::Options sopts;
   sopts.target = query.sample_size;
   sopts.terminal_level = query.cluster_level;
-  sopts.oversample_level = options_.oversample_level;
   sopts.use_cache = options_.sampling_use_cache;
   sopts.oversample = options_.oversample;
   sopts.redistribute = options_.redistribute;

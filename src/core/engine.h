@@ -2,6 +2,7 @@
 #define COLR_CORE_ENGINE_H_
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -72,8 +73,6 @@ class ColrEngine {
 
   struct Options {
     Mode mode = Mode::kColr;
-    /// Oversampling level O of Algorithm 1.
-    int oversample_level = 1;
     bool oversample = true;
     bool redistribute = true;
     /// Let layered sampling consult the slot caches (line 9/15 of
@@ -173,24 +172,15 @@ class ColrEngine {
     double sim_wall_ms = 0.0;
   };
 
-  /// Cumulative counters, atomic so concurrent FinishQuery calls
-  /// merge without a lock. Snapshot via cumulative().
+  /// Cumulative counters (one per core/query_counters.inc row),
+  /// atomic so concurrent FinishQuery calls merge without a lock.
+  /// Snapshot via cumulative().
+  template <typename T>
+  using AtomicOf = std::conditional_t<std::is_floating_point_v<T>,
+                                      AtomicDouble, AtomicCounter<T>>;
   struct Cumulative {
-    AtomicCounter<int64_t> nodes_traversed = 0;
-    AtomicCounter<int64_t> internal_nodes_traversed = 0;
-    AtomicCounter<int64_t> cached_nodes_accessed = 0;
-    AtomicCounter<int64_t> sensors_probed = 0;
-    AtomicCounter<int64_t> probe_successes = 0;
-    AtomicCounter<int64_t> cache_readings_used = 0;
-    AtomicCounter<int64_t> cached_agg_readings = 0;
-    AtomicCounter<int64_t> slots_merged = 0;
-    AtomicCounter<int64_t> probes_coalesced = 0;
-    AtomicCounter<int64_t> probes_reused = 0;
-    AtomicCounter<int64_t> probes_shed = 0;
-    AtomicDouble processing_ms = 0.0;
-    AtomicDouble processing_skew_ms = 0.0;
-    AtomicCounter<int64_t> collection_latency_ms = 0;
-    AtomicCounter<int64_t> result_size = 0;
+#define COLR_QUERY_COUNTER(type, name) AtomicOf<type> name;
+#include "core/query_counters.inc"
   };
 
   std::vector<Reading> ProbeBatch(const std::vector<SensorId>& ids,

@@ -109,43 +109,12 @@ struct TerminalRecord {
   int64_t cached_used = 0;
 };
 
-/// Counters mirroring the paper's instrumentation: node traversals
-/// (Fig. 3), cache accesses (Fig. 3 inset), sensor probes (Fig. 4/5),
-/// processing and collection latency (Fig. 4).
+/// Per-query instrumentation: the counters of core/query_counters.inc
+/// (one field per row, documented there) plus per-query extras that
+/// are not summed across queries.
 struct QueryStats {
-  int64_t nodes_traversed = 0;
-  int64_t internal_nodes_traversed = 0;
-  /// Nodes whose slot cache contributed to the answer.
-  int64_t cached_nodes_accessed = 0;
-  int64_t sensors_probed = 0;
-  int64_t probe_successes = 0;
-  /// Raw cached readings used (leaf hits).
-  int64_t cache_readings_used = 0;
-  /// Readings represented by cached aggregates at internal terminals.
-  int64_t cached_agg_readings = 0;
-  int64_t slots_merged = 0;
-  /// Probe requests satisfied by joining another query's in-flight
-  /// probe (cross-query single-flight; not counted in sensors_probed).
-  int64_t probes_coalesced = 0;
-  /// Probe requests served from a sensor's last completed probe by
-  /// the rate limiter's reuse window.
-  int64_t probes_reused = 0;
-  /// Probe requests dropped by the rate limiter / admission bound.
-  int64_t probes_shed = 0;
-  /// Wall-clock query processing time of this engine (excludes
-  /// simulated network time).
-  double processing_ms = 0.0;
-  /// Magnitude of negative (elapsed - sim_wall) skew, surfaced
-  /// instead of silently clamped into processing_ms; nonzero means
-  /// the network wall-time accounting double-counted somewhere and
-  /// tests assert it stays zero.
-  double processing_skew_ms = 0.0;
-  /// Simulated data-collection latency: total over the query's
-  /// sequential probe batches (each batch already the max over its
-  /// parallel probes and joined flights).
-  TimeMs collection_latency_ms = 0;
-  /// Readings contributing to the result (probed successes + cached).
-  int64_t result_size = 0;
+#define COLR_QUERY_COUNTER(type, name) type name = 0;
+#include "core/query_counters.inc"
   /// Sensors inside the region (the "ideal result set size"); filled
   /// by the engine when requested.
   int64_t region_sensor_count = -1;

@@ -43,8 +43,6 @@ class ReadingStore {
  public:
   explicit ReadingStore(size_t capacity = 0) : capacity_(capacity) {}
 
-  void set_capacity(size_t capacity) { capacity_ = capacity; }
-  size_t capacity() const { return capacity_; }
   /// Entry count. Readable without the owner's store lock: the value
   /// is published atomically at the end of every mutation, so a
   /// lock-free reader sees some recent size (and always its own

@@ -30,12 +30,6 @@ class LayeredSampler {
     /// Result threshold level T: descent may terminate at nodes deeper
     /// than T whose bounding box lies inside the query region.
     int terminal_level = 2;
-    /// Oversampling level O of Algorithm 1. This implementation
-    /// applies the single per-path 1/a_i scale-up at the probing
-    /// terminal itself, where the availability estimate is most local
-    /// (see DESIGN.md); O is retained for API compatibility with the
-    /// paper's formulation and for ablation experiments.
-    int oversample_level = 1;
     /// Use cached data to reduce probe targets (line 9/15).
     bool use_cache = true;
     /// Scale up targets by historical availability (line 10-11/18-19).

@@ -34,7 +34,6 @@ ColrTree::ColrTree(std::vector<SensorInfo> sensors, Options options)
       sensors_(std::move(sensors)),
       t_max_ms_(ResolveTmax(options, sensors_)),
       scheme_(MakeScheme(options, t_max_ms_)) {
-  if (options_.sync_stats) SyncStatsRegistry::Enable();
   std::vector<Point> points;
   points.reserve(sensors_.size());
   for (const SensorInfo& s : sensors_) points.push_back(s.location);

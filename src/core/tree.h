@@ -105,12 +105,6 @@ class ColrTree {
     /// writers fully serialized (the pre-sharding behavior, kept as
     /// the baseline mode for writer-scaling benchmarks).
     int writer_shard_level = -1;
-    /// Enables the process-wide lock-contention counters (sync_stats.h)
-    /// for every lock site in the write protocol. Off by default: the
-    /// instrumented guards then take the identical plain lock() path.
-    /// Equivalent to COLR_SYNC_STATS=1 in the environment; sticky for
-    /// the process (counters are cumulative, consumers read deltas).
-    bool sync_stats = false;
   };
 
   /// Structural node view: the one-cache-line arena record. All

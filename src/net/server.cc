@@ -111,7 +111,24 @@ void PortalServer::ServeConnection(Connection* conn) {
         running = false;
         break;
       }
-      const std::string reply = EncodeReplyFrame(HandleRequest(request));
+      QueryReply answer = HandleRequest(request);
+      std::string reply = EncodeReplyFrame(answer);
+      const size_t payload_bytes = reply.size() - kFrameHeaderBytes;
+      if (payload_bytes > options_.max_frame_bytes) {
+        // The client enforces the same bound, so an oversized frame
+        // would poison its stream. Answer an error instead; the probe
+        // counters stay, so wire-vs-engine conservation still holds.
+        if (answer.status == WireStatus::kOk) {
+          counters_.queries_ok += -1;
+          ++counters_.query_errors;
+        }
+        answer.status = WireStatus::kExecError;
+        answer.message = "reply of " + std::to_string(payload_bytes) +
+                         " bytes exceeds the frame limit of " +
+                         std::to_string(options_.max_frame_bytes);
+        answer.body_json.clear();
+        reply = EncodeReplyFrame(answer);
+      }
       if (!conn->WriteAll(reply.data(), reply.size()).ok()) {
         ++counters_.write_errors;
         running = false;

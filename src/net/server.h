@@ -38,7 +38,9 @@ namespace colr::net {
 class PortalServer {
  public:
   struct Options {
-    /// Frame-size bound enforced on every connection.
+    /// Frame-size bound enforced on every connection, both ways: a
+    /// reply that would exceed it is answered WireStatus::kExecError
+    /// without its relation (counted in query_errors).
     size_t max_frame_bytes = kDefaultMaxFramePayload;
     /// Admitted-but-unfinished request bound across all connections;
     /// a request arriving at the bound is answered WireStatus::kShed

@@ -9,8 +9,8 @@
 #include "common/status.h"
 #include "core/aggregate.h"
 #include "geo/geo.h"
+#include "rtree/bptree.h"
 #include "sensor/sensor.h"
-#include "storage/bptree.h"
 
 namespace colr {
 
@@ -59,7 +59,7 @@ class ArbTree {
   Status CheckInvariants() const;
 
  private:
-  using Timeline = storage::BPlusTree<int64_t, Aggregate, 32>;
+  using Timeline = BPlusTree<int64_t, Aggregate, 32>;
 
   struct Node {
     Rect bbox;

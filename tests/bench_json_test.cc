@@ -485,58 +485,6 @@ TEST(WriteJsonReportTest, NetLoadReportParsesEndToEnd) {
 }
 
 // ---------------------------------------------------------------------------
-// Layout A/B rows (micro_core --layout_json)
-// ---------------------------------------------------------------------------
-
-TEST(LayoutCellJsonRowTest, RowParsesAndFlagsChecksumAgreement) {
-  const std::string matching = LayoutCellJsonRow(
-      "traversal_mbr_overlap", /*ops=*/256, /*pointer_ns_per_op=*/3125.5,
-      /*arena_ns_per_op=*/2210.25, /*pointer_checksum=*/65732,
-      /*arena_checksum=*/65732);
-  EXPECT_TRUE(IsValidJson(matching)) << matching;
-  EXPECT_NE(matching.find("\"cell\": \"traversal_mbr_overlap\""),
-            std::string::npos);
-  EXPECT_NE(matching.find("\"ops\": 256"), std::string::npos);
-  EXPECT_NE(matching.find("\"pointer_ns_per_op\": "), std::string::npos);
-  EXPECT_NE(matching.find("\"arena_ns_per_op\": "), std::string::npos);
-  EXPECT_NE(matching.find("\"speedup\": "), std::string::npos);
-  EXPECT_NE(matching.find("\"checksums_match\": 1"), std::string::npos);
-
-  const std::string diverging = LayoutCellJsonRow(
-      "slot_recompute", 2688, 41.0, 31.9, /*pointer_checksum=*/7,
-      /*arena_checksum=*/8);
-  EXPECT_TRUE(IsValidJson(diverging)) << diverging;
-  EXPECT_NE(diverging.find("\"checksums_match\": 0"), std::string::npos);
-
-  // A zero arena time (clock resolution underflow) must emit null,
-  // never "inf".
-  const std::string degenerate =
-      LayoutCellJsonRow("slot_recompute", 1, 10.0, 0.0, 1, 1);
-  EXPECT_TRUE(IsValidJson(degenerate)) << degenerate;
-  EXPECT_NE(degenerate.find("\"speedup\": null"), std::string::npos);
-}
-
-TEST(WriteJsonReportTest, LayoutReportParsesEndToEnd) {
-  BenchConfig cfg;
-  cfg.json_path = ::testing::TempDir() + "/colr_layout_report_test.json";
-  std::vector<std::string> rows;
-  rows.push_back(
-      LayoutCellJsonRow("traversal_mbr_overlap", 256, 3125.5, 2210.25,
-                        65732, 65732));
-  rows.push_back(LayoutCellJsonRow("slot_recompute", 2688, 41.0, 31.9,
-                                   941456232, 941456232));
-  WriteJsonReport(cfg, "micro_core_layout", rows);
-
-  std::ifstream in(cfg.json_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_TRUE(IsValidJson(buf.str())) << buf.str();
-  EXPECT_NE(buf.str().find("micro_core_layout"), std::string::npos);
-  std::remove(cfg.json_path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Sync-stats JSON (the "sync" block nested in writer-scaling and
 // timed-replay rows): present when a snapshot is enabled, absent when
 // disabled, histogram buckets summing to the acquisition count.

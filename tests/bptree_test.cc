@@ -1,4 +1,4 @@
-#include "storage/bptree.h"
+#include "rtree/bptree.h"
 
 #include <map>
 #include <string>
@@ -6,7 +6,7 @@
 #include "common/rng.h"
 #include "gtest/gtest.h"
 
-namespace colr::storage {
+namespace colr {
 namespace {
 
 TEST(BPlusTreeTest, EmptyTree) {
@@ -142,4 +142,4 @@ TEST(BPlusTreeOrderTest, Order64) { RunOrderSweep<64>(); }
 TEST(BPlusTreeOrderTest, Order256) { RunOrderSweep<256>(); }
 
 }  // namespace
-}  // namespace colr::storage
+}  // namespace colr

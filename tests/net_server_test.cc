@@ -253,6 +253,46 @@ TEST(NetServerTest, ParseErrorAnswersWithoutKillingTheConnection) {
   EXPECT_EQ(net.server->counters().queries_ok.load(), 1);
 }
 
+TEST(NetServerTest, OversizedReplyAnswersExecErrorWithoutPoisoningTheClient) {
+  PortalServer::Options opts;
+  opts.max_frame_bytes = 4096;
+  NetRig net(opts);
+  auto conn = net.transport.Connect();
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  // The client enforces the same bound: an oversized reply frame would
+  // poison its decoder for good.
+  PortalClient client(std::move(conn).value(), opts.max_frame_bytes);
+
+  // Every reading in the extent, one row each: far over 4 KiB of JSON.
+  auto big = client.Query(
+      "SELECT * FROM sensor S WHERE S.location WITHIN RECT(0, 0, 100, 100) "
+      "AND S.time BETWEEN now()-5 AND now() mins "
+      "CLUSTER LEVEL 2 SAMPLESIZE 0");
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  EXPECT_EQ(big->status, WireStatus::kExecError);
+  EXPECT_NE(big->message.find("exceeds the frame limit"), std::string::npos)
+      << big->message;
+  EXPECT_TRUE(big->body_json.empty());
+  EXPECT_GT(big->probes, 0);
+
+  // The stream is intact: the next query on it succeeds.
+  auto good = client.Query(net.MakeText(0, 1));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->status, WireStatus::kOk)
+      << WireStatusName(good->status) << ": " << good->message;
+
+  client.Close();
+  net.server->Stop();
+  // The error reply kept its probe accounting, so the replies still sum
+  // to the engine's cumulative counters.
+  const QueryStats cumulative = net.rig.engine->cumulative();
+  EXPECT_EQ(big->probes + good->probes, cumulative.sensors_probed);
+  EXPECT_EQ(big->probe_successes + good->probe_successes,
+            cumulative.probe_successes);
+  EXPECT_EQ(net.server->counters().query_errors.load(), 1);
+  EXPECT_EQ(net.server->counters().queries_ok.load(), 1);
+}
+
 TEST(NetServerTest, GarbageFrameClosesTheConnection) {
   NetRig net;
   auto conn = net.transport.Connect();

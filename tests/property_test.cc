@@ -2,7 +2,11 @@
 // engine configuration, slot width, staleness bound and availability
 // level, checked over randomized portal replays (TEST_P sweeps).
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "common/rng.h"
@@ -154,6 +158,17 @@ struct EngineCase {
   double availability;
   int sample_size;
 };
+
+/// Prints a case as a readable name such as `hier_cache_8min_a80_r0`
+/// (mode, staleness, availability percent, sample size); ctest names
+/// each discovered case by it. Without it gtest prints the struct's
+/// bytes, padding included, which differ from build to build.
+void PrintTo(const EngineCase& c, std::ostream* os) {
+  std::string mode = ColrEngine::ModeName(c.mode);
+  std::replace(mode.begin(), mode.end(), '-', '_');
+  *os << mode << "_" << c.staleness / kMin << "min_a"
+      << std::lround(c.availability * 100) << "_r" << c.sample_size;
+}
 
 class EngineInvariantSweep
     : public ::testing::TestWithParam<EngineCase> {};

@@ -1,7 +1,6 @@
 #include "relcolr/relcolr.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 
 #include "common/rng.h"
@@ -9,11 +8,6 @@
 #include "core/engine.h"
 #include "gtest/gtest.h"
 #include "sensor/network.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/heap_file.h"
-#include "storage/table_io.h"
-#include "storage/wal.h"
 #include "workload/live_local.h"
 
 namespace colr {
@@ -435,118 +429,12 @@ TEST(RelColrTest, SampledSelectionUsesCache) {
   }
 }
 
-// Full durability story: log the readings stream through the WAL,
-// then recover a fresh relational COLR-Tree by replaying the log —
-// the §VI-B triggers rebuild every cache table from the replayed
-// readings, and the result matches the original instance slot by slot.
-TEST(RelColrTest, WalReplayRebuildsCachesThroughTriggers) {
-  const std::string path = "/tmp/colr_relcolr_wal_test.wal";
-  std::remove(path.c_str());
-
-  Rig rig(120, 30);
-  storage::WalWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  storage::AttachWal(rig.relational->db().GetTable("readings"), &writer);
-  storage::AttachWal(rig.relational->db().GetTable("window"), &writer);
-
-  Rng rng(31);
-  TimeMs now = 0;
-  for (int i = 0; i < 300; ++i) {
-    now += rng.UniformInt(15'000);
-    const int sensor = static_cast<int>(rng.UniformInt(120));
-    ASSERT_TRUE(rig.relational
-                    ->InsertReading(rig.MakeReading(sensor, now,
-                                                    rng.Uniform(0, 9)))
-                    .ok());
-  }
-  writer.Close();
-
-  // Recover: fresh RelColr over the same tree, replay the log. The
-  // insert/delete records on `readings` re-fire the slot triggers.
-  RelColr recovered(*rig.tree);
-  auto applied = storage::ReplayWal(path, &recovered.db());
-  ASSERT_TRUE(applied.ok());
-  EXPECT_GT(*applied, 0);
-
-  EXPECT_EQ(recovered.NumCachedReadings(),
-            rig.relational->NumCachedReadings());
-  const SlotScheme& scheme = rig.tree->scheme();
-  for (int id = 0; id < static_cast<int>(rig.tree->num_nodes()); ++id) {
-    for (SlotId s = scheme.oldest(); s <= scheme.newest(); ++s) {
-      const Aggregate a = rig.relational->NodeSlotAggregate(id, s);
-      const Aggregate b = recovered.NodeSlotAggregate(id, s);
-      ASSERT_EQ(a.count, b.count) << "node " << id << " slot " << s;
-      ASSERT_NEAR(a.sum, b.sum, 1e-9);
-    }
-  }
-  std::remove(path.c_str());
-}
-
 TEST(RelColrTest, InsertBeyondWindowRejected) {
   Rig rig(50, 14);
   rig.InsertBoth(rig.MakeReading(0, kMsPerHour, 1.0));
   // A reading whose expiry slot predates the (rolled) window start.
   Reading ancient = rig.MakeReading(1, 0, 2.0);
   EXPECT_FALSE(rig.relational->InsertReading(ancient).ok());
-}
-
-// Checkpoint the relational state through the storage layer (heap
-// files over the buffer pool) and restore it into a fresh database:
-// the readings and cache tables round-trip exactly. This is the §VI
-// deployment story — SQL Server persisted these tables; we do it with
-// the bundled storage substrate.
-TEST(RelColrTest, CheckpointAndRestoreThroughStorage) {
-  const std::string path = "/tmp/colr_relcolr_checkpoint.db";
-  std::remove(path.c_str());
-
-  Rig rig(150, 15);
-  Rng rng(16);
-  TimeMs now = 0;
-  for (int i = 0; i < 200; ++i) {
-    now += rng.UniformInt(10'000);
-    rig.InsertBoth(rig.MakeReading(
-        static_cast<int>(rng.UniformInt(150)), now, rng.Uniform(0, 9)));
-  }
-
-  // Persist every table of the relational COLR-Tree.
-  storage::DiskManager disk;
-  ASSERT_TRUE(disk.Open(path).ok());
-  struct Extent {
-    storage::PageId first, last;
-  };
-  std::map<std::string, Extent> extents;
-  {
-    storage::BufferPool pool(&disk, 16);
-    for (const std::string& name : rig.relational->db().TableNames()) {
-      storage::HeapFile heap(&pool);
-      auto written = storage::PersistTable(
-          *rig.relational->db().GetTable(name), &heap);
-      ASSERT_TRUE(written.ok()) << name;
-      extents[name] = {heap.first_page(), heap.last_page()};
-    }
-    ASSERT_TRUE(pool.FlushAll().ok());
-  }
-
-  // Restore into trigger-free tables and compare sizes + a full root
-  // aggregate recomputed from the restored readings.
-  storage::BufferPool pool(&disk, 16);
-  for (const std::string& name : rig.relational->db().TableNames()) {
-    const rel::Table* original = rig.relational->db().GetTable(name);
-    rel::Table restored(name, original->schema());
-    storage::HeapFile heap(&pool, extents[name].first,
-                           extents[name].last);
-    auto loaded = storage::LoadTable(heap, &restored);
-    ASSERT_TRUE(loaded.ok()) << name;
-    ASSERT_EQ(restored.size(), original->size()) << name;
-    // Spot-check contents: every original row exists in the restore.
-    original->Scan([&](rel::Table::RowId, const rel::Row& row) {
-      EXPECT_FALSE(
-          restored.Find([&row](const rel::Row& r) { return r == row; })
-              .empty());
-      return true;
-    });
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

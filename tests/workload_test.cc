@@ -4,7 +4,6 @@
 #include "common/stats.h"
 #include "gtest/gtest.h"
 #include "workload/live_local.h"
-#include "workload/trace_io.h"
 #include "workload/usgs_field.h"
 
 namespace colr {
@@ -117,65 +116,6 @@ TEST(LiveLocalTest, RestaurantValueFnStableAndPositive) {
   SensorInfo s2;
   s2.id = 18;
   EXPECT_NE(fn(s2, 1000), v1);
-}
-
-// ---------------------------------------------------------------------------
-// Trace I/O
-// ---------------------------------------------------------------------------
-
-TEST(TraceIoTest, SensorCatalogRoundTrip) {
-  const std::string path = "/tmp/colr_trace_sensors.csv";
-  LiveLocalOptions opts = SmallOptions();
-  opts.num_sensors = 500;
-  LiveLocalWorkload w = GenerateLiveLocal(opts);
-  ASSERT_TRUE(SaveSensorCatalog(w.sensors, path).ok());
-  auto loaded = LoadSensorCatalog(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), w.sensors.size());
-  for (size_t i = 0; i < w.sensors.size(); ++i) {
-    EXPECT_EQ((*loaded)[i].id, w.sensors[i].id);
-    EXPECT_DOUBLE_EQ((*loaded)[i].location.x, w.sensors[i].location.x);
-    EXPECT_DOUBLE_EQ((*loaded)[i].location.y, w.sensors[i].location.y);
-    EXPECT_EQ((*loaded)[i].expiry_ms, w.sensors[i].expiry_ms);
-    EXPECT_DOUBLE_EQ((*loaded)[i].availability,
-                     w.sensors[i].availability);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoTest, QueryTraceRoundTrip) {
-  const std::string path = "/tmp/colr_trace_queries.csv";
-  LiveLocalOptions opts = SmallOptions();
-  opts.num_queries = 300;
-  LiveLocalWorkload w = GenerateLiveLocal(opts);
-  ASSERT_TRUE(SaveQueryTrace(w.queries, path).ok());
-  auto loaded = LoadQueryTrace(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), w.queries.size());
-  for (size_t i = 0; i < w.queries.size(); ++i) {
-    EXPECT_EQ((*loaded)[i].at, w.queries[i].at);
-    EXPECT_TRUE((*loaded)[i].region == w.queries[i].region);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoTest, RejectsMissingAndMalformedFiles) {
-  EXPECT_FALSE(LoadSensorCatalog("/tmp/colr_no_such_file.csv").ok());
-  const std::string path = "/tmp/colr_trace_bad.csv";
-  {
-    FILE* f = fopen(path.c_str(), "w");
-    fputs("totally,not,the,header\n1,2\n", f);
-    fclose(f);
-  }
-  EXPECT_FALSE(LoadSensorCatalog(path).ok());
-  EXPECT_FALSE(LoadQueryTrace(path).ok());
-  {
-    FILE* f = fopen(path.c_str(), "w");
-    fputs("id,x,y,expiry_ms,availability\nnot-a-row\n", f);
-    fclose(f);
-  }
-  EXPECT_FALSE(LoadSensorCatalog(path).ok());
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
