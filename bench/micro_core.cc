@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for COLR-Tree's primitive
 // operations — the ablation knobs behind the figure harnesses: slot
-// cache maintenance, reading-store eviction, cluster-tree / R-tree
+// cache maintenance, reading-table eviction, cluster-tree / R-tree
 // construction, range search, layered sampling, and full engine
 // execution in each configuration.
 
@@ -14,6 +14,7 @@
 #include "common/sync.h"
 #include "common/sync_stats.h"
 #include "core/engine.h"
+#include "core/reading_table.h"
 #include "core/sampling.h"
 #include "core/slot_cache.h"
 #include "core/tree.h"
@@ -83,23 +84,30 @@ void BM_SlotCacheRoll(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotCacheRoll);
 
-void BM_ReadingStoreInsertWithEviction(benchmark::State& state) {
+// FlatCache's maintenance on one table partition: expunge after a
+// roll, insert, then evict down to a 1,000-reading capacity.
+void BM_ReadingTableInsertWithEviction(benchmark::State& state) {
   SlotScheme scheme(kMin, 5 * kMin);
-  ReadingStore store(1000);
+  ReadingTable table(5000, 1, scheme.num_slots());
   Rng rng(4);
   TimeMs now = 0;
   SensorId sid = 0;
   for (auto _ : state) {
     now += 10;
     scheme.RollTo(scheme.SlotOf(now + 5 * kMin));
-    store.ExpungeExpiredSlots(scheme);
-    store.Insert(scheme,
-                 Reading{sid++ % 5000, now, now + kMin +
-                             static_cast<TimeMs>(rng.UniformInt(4 * kMin)),
-                         1.0});
+    while (const auto v = table.PeekVictim(0)) {
+      if (v->slot >= scheme.oldest()) break;
+      table.Erase(0, scheme, v->key);
+    }
+    const Reading r{sid++ % 5000, now, now + kMin +
+                        static_cast<TimeMs>(rng.UniformInt(4 * kMin)), 1.0};
+    benchmark::DoNotOptimize(table.Insert(0, scheme, r.sensor, r));
+    while (table.size(0) > 1000) {
+      table.Erase(0, scheme, table.PeekVictim(0, r.sensor)->key);
+    }
   }
 }
-BENCHMARK(BM_ReadingStoreInsertWithEviction);
+BENCHMARK(BM_ReadingTableInsertWithEviction);
 
 // ---------------------------------------------------------------------------
 // Index construction

@@ -6,10 +6,12 @@
 # leg — project lint, the clang thread-safety/-Werror contract build
 # with clang-tidy, a full UBSan test run, and a high-iteration wire
 # fuzz under ASan+UBSan — then a smoke check that the sync-stats
-# instrumentation and deadlock hooks compile to a no-op when disabled. The clang pieces
-# skip with a clear message on hosts without clang/clang-tidy, so a
-# GCC-only host still runs everything else. Run from anywhere; builds
-# land in build*/ under the repo root.
+# instrumentation and deadlock hooks compile to a no-op when disabled.
+# Right after tier-1 it also builds the benchmark (perfbench
+# --self-test). The clang pieces skip with a clear message on hosts
+# without clang/clang-tidy, so a GCC-only host still runs everything
+# else. Run from anywhere; builds land in build*/ under the repo root
+# (the benchmark's in .bench_build/).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -29,6 +31,14 @@ cmake --build build -j "$jobs"
 
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "$jobs")
+
+echo "== perfbench: build + self-test =="
+# The repository benchmark (perfbench/, named by BENCHMARK.json)
+# compiles the libraries under src/ in its own build tree, which no
+# other leg builds: a src/ API it calls could be deleted with every
+# other leg green. The self-test builds it, checks its statistics
+# helpers, and checks BENCHMARK.json names the metrics it reports.
+python3 perfbench/run.py --self-test
 
 echo "== tsan: build =="
 cmake -B build-tsan -S . -DCOLR_SANITIZE=thread >/dev/null

@@ -221,9 +221,9 @@ QueryResult ColrEngine::ExecuteColr(const Query& query, TimeMs now,
       AddToHistogram(query, r.value, &g);
     }
 
-    // Instrumentation + cache bookkeeping. The sampler copied the used
-    // readings out of the store under its lock (cached_readings), so
-    // no store pointers are dereferenced here.
+    // Instrumentation + cache bookkeeping. LookupCache copied the used
+    // readings out under the leaf's node stripe (cached_readings), so
+    // no reading-table pointers are dereferenced here.
     for (size_t i = 0; i < t.cached_sensors.size(); ++i) {
       const Reading& r = t.cached_readings[i];
       if (query.return_readings) {

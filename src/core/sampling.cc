@@ -162,8 +162,8 @@ class Runner {
         ColrTree::CacheLookup lookup = tree_.LookupCache(
             node_id, now_, staleness_, partial ? &filter : nullptr);
         // Polygon refinement for cached leaf readings (the lookup
-        // copies used readings out under the store lock, so no store
-        // pointers are dereferenced here).
+        // copies used readings out under the leaf's node stripe, so no
+        // reading-table pointers are dereferenced here).
         if (region_.polygon) {
           ColrTree::CacheLookup refined;
           for (size_t i = 0; i < lookup.used_sensors.size(); ++i) {

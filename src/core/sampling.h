@@ -56,8 +56,8 @@ class LayeredSampler {
     /// LRF touch accounting).
     std::vector<SensorId> cached_sensors;
     /// The used readings themselves, aligned with cached_sensors —
-    /// copied out of the store under its lock so the engine never
-    /// dereferences store pointers on the query path.
+    /// copied out under the leaf's node stripe so the engine never
+    /// dereferences reading-table pointers on the query path.
     std::vector<Reading> cached_readings;
   };
 

@@ -46,16 +46,14 @@ ColrTree::ColrTree(std::vector<SensorInfo> sensors, Options options)
   arena_ = NodeArena(ct);
   root_ = arena_.root();
   height_ = arena_.height();
-  sensor_order_.reserve(ct.item_order.size());
-  for (int idx : ct.item_order) {
-    sensor_order_.push_back(static_cast<SensorId>(idx));
-  }
+  sensor_order_.assign(ct.item_order.begin(), ct.item_order.end());
   leaf_of_sensor_.assign(sensors_.size(), -1);
+  key_of_sensor_.assign(sensors_.size(), ReadingTable::kNoKey);
 
   const size_t num_nodes = arena_.size();
   caches_.resize(num_nodes);
   availability_ = std::vector<AtomicDouble>(num_nodes);
-  leaf_tables_.resize(num_nodes);
+  cached_keys_.resize(num_nodes);
   for (size_t i = 0; i < num_nodes; ++i) {
     ArenaNodeRecord& n = arena_.mutable_record(static_cast<int>(i));
     caches_[i].Resize(scheme_.num_slots());
@@ -71,6 +69,7 @@ ColrTree::ColrTree(std::vector<SensorInfo> sensors, Options options)
     if (n.IsLeaf()) {
       for (int j = n.item_begin; j < n.item_end; ++j) {
         leaf_of_sensor_[sensor_order_[j]] = static_cast<int>(i);
+        key_of_sensor_[sensor_order_[j]] = static_cast<ReadingTable::Key>(j);
       }
     }
   }
@@ -84,22 +83,19 @@ ColrTree::ColrTree(std::vector<SensorInfo> sensors, Options options)
                      ? std::min(options_.writer_shard_level, max_level)
                      : std::min(1, max_level);
 
-  // One reading store per shard, all stamping fetches from one shared
-  // sequence so the cross-shard eviction order stays globally exact.
-  // Store capacities are unbounded; the tree enforces
-  // options_.cache_capacity across all of them.
-  store_index_of_node_.assign(arena_.size(), -1);
+  // One reading-table partition per shard, numbered in leaf order.
+  partition_of_node_.assign(arena_.size(), -1);
   for (size_t i = 0; i < arena_.size(); ++i) {
     if (!arena_.record(static_cast<int>(i)).IsLeaf()) continue;
     const int shard = ShardOf(static_cast<int>(i));
-    if (store_index_of_node_[shard] < 0) {
-      store_index_of_node_[shard] =
-          static_cast<int>(shard_node_of_store_.size());
-      shard_node_of_store_.push_back(shard);
+    if (partition_of_node_[shard] < 0) {
+      partition_of_node_[shard] =
+          static_cast<int>(shard_node_of_partition_.size());
+      shard_node_of_partition_.push_back(shard);
     }
   }
-  stores_ = std::vector<ReadingStore>(shard_node_of_store_.size());
-  for (ReadingStore& store : stores_) store.set_sequence_source(&fetch_seq_);
+  table_ = ReadingTable(sensor_order_.size(),
+                        shard_node_of_partition_.size(), scheme_.num_slots());
 }
 
 int ColrTree::CountSensorsInRegion(const Rect& region) const {
@@ -182,15 +178,20 @@ std::vector<SensorId> ColrTree::SensorsUnderInRegion(
 
 void ColrTree::ExpungeAfterRoll() {
   // Caller holds the exclusive epoch: no writer, toucher or evictor
-  // is active (they all hold the shared side), so the per-shard
-  // stores can be walked without their shard locks. No aggregate
-  // propagation: the expunged slots are outside the window, so their
-  // ring positions lazily reset on reuse.
+  // is active (they all hold the shared side), so the partitions' links
+  // can be walked without their shard locks; queries read readings
+  // under the leaf stripe alone, which EraseCached takes. Partition,
+  // then slot, then LRF order fixes the leaves' cached-sensor lists.
+  // No aggregate propagation: the expunged slots are outside the
+  // window, so their ring positions lazily reset on reuse.
   size_t total = 0;
-  for (ReadingStore& store : stores_) {
-    const std::vector<Reading> expunged = store.ExpungeExpiredSlots(scheme_);
-    total += expunged.size();
-    for (const Reading& r : expunged) RemoveFromLeafCachedSet(r.sensor);
+  for (size_t p = 0; p < table_.num_partitions(); ++p) {
+    while (const std::optional<ReadingTable::Victim> v =
+               table_.PeekVictim(p)) {
+      if (v->slot >= scheme_.oldest()) break;
+      EraseCached(p, v->key);
+      ++total;
+    }
   }
   maintenance_.readings_expunged += static_cast<int64_t>(total);
   cached_total_.fetch_sub(total, std::memory_order_relaxed);
@@ -221,13 +222,13 @@ void ColrTree::TouchCached(SensorId sensor) {
   if (sensor >= sensors_.size()) return;
   const int leaf = leaf_of_sensor_[sensor];
   if (leaf < 0) return;
-  // Store mutations follow the writer protocol: shared epoch (so
-  // rolls/expunges see a quiesced store) + the sensor's shard lock.
+  // LRF links follow the writer protocol: shared epoch (so
+  // rolls/expunges see quiesced partitions) + the sensor's shard lock.
   SyncTimedSharedLock<EpochLatch> epoch_lock(epoch_latch_,
                                              SyncSite::kEpochShared);
   SyncTimedLock<SharedMutex> shard_lock(shard_mutex_.For(ShardOf(leaf)),
                                               SyncSite::kShardWriter);
-  StoreForLeaf(leaf).Touch(sensor);
+  table_.Touch(PartitionOf(leaf), scheme_, key_of_sensor_[sensor]);
 }
 
 size_t ColrTree::CachedReadingCount() const {
@@ -242,16 +243,17 @@ ColrTree::MaintenanceCounters ColrTree::MaintenanceSnapshot() const {
 
 std::vector<ColrTree::ShardOccupancy> ColrTree::ShardOccupancies() const {
   std::vector<ShardOccupancy> out;
-  out.reserve(stores_.size());
-  // Shared epoch: expunges walk the stores without shard locks under
-  // the exclusive side, so the stripe alone would not exclude them.
+  out.reserve(table_.num_partitions());
+  // Shared epoch: expunges walk the partitions without shard locks
+  // under the exclusive side, so the stripe alone would not exclude
+  // them.
   SyncTimedSharedLock<EpochLatch> epoch_lock(epoch_latch_,
                                              SyncSite::kEpochShared);
-  for (size_t s = 0; s < stores_.size(); ++s) {
+  for (size_t p = 0; p < table_.num_partitions(); ++p) {
     SyncTimedSharedLock<SharedMutex> shard_lock(
-        shard_mutex_.For(shard_node_of_store_[s]), SyncSite::kShardWriter);
-    out.push_back({shard_node_of_store_[s], stores_[s].size(),
-                   stores_[s].OccupiedSlots()});
+        shard_mutex_.For(shard_node_of_partition_[p]), SyncSite::kShardWriter);
+    out.push_back({shard_node_of_partition_[p], table_.size(p),
+                   table_.OccupiedSlots(p)});
   }
   return out;
 }
@@ -279,8 +281,8 @@ void ColrTree::InsertReading(const Reading& reading) {
   if (slot < scheme_.oldest()) {
     // Late arrival: the reading's expiry slot slid out of the window
     // before this insert pinned the epoch (the roll above only moves
-    // the window forward). Storing it would place a dead reading in
-    // the store, and propagating it would re-tag ring positions that
+    // the window forward). Caching it would place a dead reading in
+    // the table, and propagating it would re-tag ring positions that
     // in-window slots own. Drop it and count it.
     ++maintenance_.late_readings_dropped;
     return;
@@ -288,49 +290,43 @@ void ColrTree::InsertReading(const Reading& reading) {
   const int leaf = leaf_of_sensor_[reading.sensor];
   if (leaf < 0) return;
 
+  const size_t partition = PartitionOf(leaf);
+  const ReadingTable::Key key = key_of_sensor_[reading.sensor];
+
   {
     // All cache mutation below the root region happens under this
     // leaf's shard lock; inserts into other shards proceed in
-    // parallel.
+    // parallel. The lock serializes every writer of this partition,
+    // so the sensor's entry is read here without its node stripe.
     SyncTimedLock<SharedMutex> shard_lock(
         shard_mutex_.For(ShardOf(leaf)), SyncSite::kShardWriter);
 
-    // The shard's own store needs no further lock — this shard lock
-    // serializes all its mutators. Its content may lead the aggregates
-    // within this shard-locked region: recomputes read the
-    // leaf-resident table, and eviction re-resolves its candidate
-    // under this shard's lock.
-    ReadingStore::InsertOutcome outcome =
-        StoreForLeaf(leaf).InsertWithoutEviction(scheme_, reading);
-    if (!outcome.replaced) {
-      cached_total_.fetch_add(1, std::memory_order_release);
-    }
-
-    // Replacement: remove the old reading from the leaf table and the
+    // Replacement: remove the old reading from the table and the
     // aggregates *before* the new one lands in either, so that a
     // min/max recompute triggered by the removal never observes the
-    // new value.
-    if (outcome.replaced) {
+    // new value. The sensor keeps its place in the leaf's list.
+    const Reading* cached = table_.Get(key);
+    const bool replaced = cached != nullptr;
+    if (replaced) {
+      const Reading old = *cached;
       {
         SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
-                                                   SyncSite::kNodeStripe);
-        leaf_tables_[static_cast<size_t>(leaf)].cached_readings.erase(
-            reading.sensor);
+                                             SyncSite::kNodeStripe);
+        table_.Erase(partition, scheme_, key);
       }
-      const SlotId old_slot = scheme_.SlotOf(outcome.old_reading.expiry);
+      const SlotId old_slot = scheme_.SlotOf(old.expiry);
       if (scheme_.InWindow(old_slot)) {
-        PropagateRemove(leaf, old_slot, outcome.old_reading.value);
+        PropagateRemove(leaf, old_slot, old.value);
       }
+    } else {
+      cached_total_.fetch_add(1, std::memory_order_release);
     }
 
     {
       SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
-                                                 SyncSite::kNodeStripe);
-      LeafCacheTable& table = leaf_tables_[static_cast<size_t>(leaf)];
-      table.cached_readings[reading.sensor] = reading;
-      if (!outcome.replaced) {
-        table.cached_sensors.push_back(reading.sensor);
-      }
+                                           SyncSite::kNodeStripe);
+      table_.Insert(partition, scheme_, key, reading);
+      if (!replaced) cached_keys_[static_cast<size_t>(leaf)].push_back(key);
     }
     PropagateAdd(leaf, slot, reading.value);
   }
@@ -339,10 +335,10 @@ void ColrTree::InsertReading(const Reading& reading) {
   // the victim may live in any shard, and its removal must be done
   // under *that* shard's lock (one shard stripe at a time, so shard
   // acquisition can never deadlock).
-  EnforceCacheCapacity(reading.sensor);
+  EnforceCacheCapacity(key);
 }
 
-void ColrTree::EnforceCacheCapacity(SensorId protect) {
+void ColrTree::EnforceCacheCapacity(ReadingTable::Key protect) {
   const size_t capacity = options_.cache_capacity;
   if (capacity == 0) return;
   // Lock-free fast path. cached_total_ already reflects this thread's
@@ -351,51 +347,52 @@ void ColrTree::EnforceCacheCapacity(SensorId protect) {
   // the overshoot — at quiescence the last mutation's count has been
   // observed by the thread that made it, so the constraint holds.
   while (cached_total_.load(std::memory_order_acquire) > capacity) {
-    // Peek phase: the global least-recently-fetched entry in the
+    // Peek phase: the global least-recently-fetched reading in the
     // oldest occupied slot is the (slot, seq)-minimum over the
-    // per-shard candidates, because every store stamps fetches from
-    // the shared sequence. One shard stripe held at a time (shared),
-    // so the scan cannot deadlock with writers or other evictors.
-    std::optional<ReadingStore::EvictionCandidate> best;
-    size_t best_store = 0;
-    for (size_t s = 0; s < stores_.size(); ++s) {
+    // per-partition candidates, because every partition stamps fetches
+    // from the table's one sequence. One shard stripe held at a time
+    // (shared), so the scan cannot deadlock with writers or other
+    // evictors.
+    std::optional<ReadingTable::Victim> best;
+    size_t best_partition = 0;
+    for (size_t p = 0; p < table_.num_partitions(); ++p) {
       SyncTimedSharedLock<SharedMutex> peek_lock(
-          shard_mutex_.For(shard_node_of_store_[s]), SyncSite::kShardWriter);
-      std::optional<ReadingStore::EvictionCandidate> cand =
-          stores_[s].PeekEvictionCandidateInfo(protect);
+          shard_mutex_.For(shard_node_of_partition_[p]),
+          SyncSite::kShardWriter);
+      const std::optional<ReadingTable::Victim> cand =
+          table_.PeekVictim(p, protect);
       if (cand && (!best || cand->slot < best->slot ||
                    (cand->slot == best->slot && cand->seq < best->seq))) {
         best = cand;
-        best_store = s;
+        best_partition = p;
       }
     }
     if (!best) return;  // only `protect` remains cached
     // Evict under the victim's shard lock: the erase and the aggregate
     // undo must be atomic with respect to that shard's own writers,
-    // whose slot recomputes read the leaf tables and would otherwise
-    // observe the erase before the undo (double-removing the victim's
-    // value). Re-resolve locally under the lock; checking *global*
-    // minimality again would need other shards' locks (deadlock), and
-    // local re-resolution suffices: if the shard still offers the same
-    // sensor, erasing it keeps the cache moving toward capacity.
+    // whose slot recomputes read the leaf's readings and would
+    // otherwise observe the erase before the undo (double-removing the
+    // victim's value). Re-resolve locally under the lock; checking
+    // *global* minimality again would need other shards' locks
+    // (deadlock), and local re-resolution suffices: if the partition
+    // still offers the same sensor, erasing it keeps the cache moving
+    // toward capacity.
     SyncTimedLock<SharedMutex> shard_lock(
-        shard_mutex_.For(shard_node_of_store_[best_store]),
-                         SyncSite::kShardWriter);
+        shard_mutex_.For(shard_node_of_partition_[best_partition]),
+        SyncSite::kShardWriter);
     if (cached_total_.load(std::memory_order_acquire) <= capacity) return;
-    std::optional<ReadingStore::EvictionCandidate> cand =
-        stores_[best_store].PeekEvictionCandidateInfo(protect);
-    if (!cand || cand->reading.sensor != best->reading.sensor) {
-      continue;  // the shard moved on since the peek; rescan
+    const std::optional<ReadingTable::Victim> cand =
+        table_.PeekVictim(best_partition, protect);
+    if (!cand || cand->key != best->key) {
+      continue;  // the partition moved on since the peek; rescan
     }
-    const Reading victim = cand->reading;
-    stores_[best_store].Erase(victim.sensor);
+    const Reading victim = *table_.Get(cand->key);
+    EraseCached(best_partition, cand->key);
     cached_total_.fetch_sub(1, std::memory_order_release);
     ++maintenance_.readings_evicted;
-    RemoveFromLeafCachedSet(victim.sensor);
-    const int vleaf = leaf_of_sensor_[victim.sensor];
     const SlotId vslot = scheme_.SlotOf(victim.expiry);
-    if (vleaf >= 0 && scheme_.InWindow(vslot)) {
-      PropagateRemove(vleaf, vslot, victim.value);
+    if (scheme_.InWindow(vslot)) {
+      PropagateRemove(leaf_of_sensor_[victim.sensor], vslot, victim.value);
     }
   }
 }
@@ -420,20 +417,17 @@ void ColrTree::PropagateAdd(int leaf_id, SlotId slot, double value) {
 }
 
 Aggregate ColrTree::LeafSlotAggregate(int leaf_id, SlotId slot) const {
-  // Reads the leaf-resident table, not the store: the gather runs
-  // entirely under this leaf's stripe (whose mutators all hold the
-  // caller's shard lock), keeping the recompute cascade off the
-  // global store lock. Iterate in cached_sensors order so the
-  // floating-point accumulation order matches the sequential build.
+  // The gather runs entirely under this leaf's stripe (whose writers
+  // all hold the caller's shard lock too). Iterate in cached-sensor
+  // list order so the floating-point accumulation order matches the
+  // sequential build.
   Aggregate agg;
   SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(leaf_id),
                                                    SyncSite::kNodeStripe);
-  const LeafCacheTable& table = leaf_tables_[static_cast<size_t>(leaf_id)];
-  for (SensorId sid : table.cached_sensors) {
-    auto it = table.cached_readings.find(sid);
-    if (it != table.cached_readings.end() &&
-        scheme_.SlotOf(it->second.expiry) == slot) {
-      agg.Add(it->second.value);
+  for (ReadingTable::Key key : cached_keys_[static_cast<size_t>(leaf_id)]) {
+    const Reading* r = table_.Get(key);
+    if (r != nullptr && scheme_.SlotOf(r->expiry) == slot) {
+      agg.Add(r->value);
     }
   }
   return agg;
@@ -516,20 +510,16 @@ void ColrTree::PropagateRemove(int leaf_id, SlotId slot, double value) {
   }
 }
 
-void ColrTree::RemoveFromLeafCachedSet(SensorId sensor) {
-  const int leaf = leaf_of_sensor_[sensor];
-  if (leaf < 0) return;
+void ColrTree::EraseCached(size_t partition, ReadingTable::Key key) {
+  const int leaf = leaf_of_sensor_[sensor_order_[key]];
   SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
-                                             SyncSite::kNodeStripe);
-  LeafCacheTable& table = leaf_tables_[static_cast<size_t>(leaf)];
-  table.cached_readings.erase(sensor);
-  auto& set = table.cached_sensors;
-  for (size_t i = 0; i < set.size(); ++i) {
-    if (set[i] == sensor) {
-      set[i] = set.back();
-      set.pop_back();
-      return;
-    }
+                                       SyncSite::kNodeStripe);
+  table_.Erase(partition, scheme_, key);
+  auto& keys = cached_keys_[static_cast<size_t>(leaf)];
+  auto it = std::find(keys.begin(), keys.end(), key);
+  if (it != keys.end()) {
+    *it = keys.back();
+    keys.pop_back();
   }
 }
 
@@ -555,11 +545,10 @@ ColrTree::CacheLookup ColrTree::LookupCache(int node_id, TimeMs now,
     const SlotId qslot = QuerySlot(now, staleness_ms);
     SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
                                                      SyncSite::kNodeStripe);
-    const LeafCacheTable& table = leaf_tables_[static_cast<size_t>(node_id)];
-    for (SensorId sid : table.cached_sensors) {
-      auto it = table.cached_readings.find(sid);
-      if (it == table.cached_readings.end()) continue;
-      const Reading& r = it->second;
+    for (ReadingTable::Key key : cached_keys_[static_cast<size_t>(node_id)]) {
+      const Reading* cached = table_.Get(key);
+      if (cached == nullptr) continue;
+      const Reading& r = *cached;
       if (rule == FreshnessRule::kExact) {
         if (!r.ValidAt(now - staleness_ms)) continue;
       } else {
@@ -567,11 +556,11 @@ ColrTree::CacheLookup ColrTree::LookupCache(int node_id, TimeMs now,
         if (slot <= qslot || !scheme_.InWindow(slot)) continue;
       }
       if (region_filter != nullptr &&
-          !region_filter->Contains(sensors_[sid].location)) {
+          !region_filter->Contains(sensors_[r.sensor].location)) {
         continue;
       }
       out.agg.Add(r.value);
-      out.used_sensors.push_back(sid);
+      out.used_sensors.push_back(r.sensor);
       out.used_readings.push_back(r);
     }
     return out;
@@ -591,13 +580,9 @@ int64_t ColrTree::CachedCount(int node_id, TimeMs now,
     int64_t c = 0;
     SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
                                                      SyncSite::kNodeStripe);
-    const LeafCacheTable& table = leaf_tables_[static_cast<size_t>(node_id)];
-    for (SensorId sid : table.cached_sensors) {
-      auto it = table.cached_readings.find(sid);
-      if (it != table.cached_readings.end() &&
-          it->second.ValidAt(now - staleness_ms)) {
-        ++c;
-      }
+    for (ReadingTable::Key key : cached_keys_[static_cast<size_t>(node_id)]) {
+      const Reading* r = table_.Get(key);
+      if (r != nullptr && r->ValidAt(now - staleness_ms)) ++c;
     }
     return c;
   }
@@ -613,11 +598,9 @@ std::optional<Reading> ColrTree::CachedReading(SensorId sensor) const {
   if (leaf < 0) return std::nullopt;
   SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
                                                    SyncSite::kNodeStripe);
-  const auto& readings =
-      leaf_tables_[static_cast<size_t>(leaf)].cached_readings;
-  auto it = readings.find(sensor);
-  if (it == readings.end()) return std::nullopt;
-  return it->second;
+  const Reading* r = table_.Get(key_of_sensor_[sensor]);
+  if (r == nullptr) return std::nullopt;
+  return *r;
 }
 
 bool ColrTree::CachedInNewerSlot(SensorId sensor, SlotId query_slot) const {
@@ -626,63 +609,69 @@ bool ColrTree::CachedInNewerSlot(SensorId sensor, SlotId query_slot) const {
   if (leaf < 0) return false;
   SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
                                                    SyncSite::kNodeStripe);
-  const auto& readings =
-      leaf_tables_[static_cast<size_t>(leaf)].cached_readings;
-  auto it = readings.find(sensor);
-  if (it == readings.end()) return false;
-  const SlotId slot = scheme_.SlotOf(it->second.expiry);
+  const Reading* r = table_.Get(key_of_sensor_[sensor]);
+  if (r == nullptr) return false;
+  const SlotId slot = scheme_.SlotOf(r->expiry);
   return slot > query_slot && scheme_.InWindow(slot);
 }
 
-const Reading* ColrTree::StoredReadingLocked(SensorId sid) const {
-  const int leaf = leaf_of_sensor_[sid];
-  return leaf < 0 ? nullptr : StoreForLeaf(leaf).Get(sid);
-}
-
 Status ColrTree::CheckCacheConsistency() const {
-  // For every node and every in-window slot, the cached aggregate must
-  // equal the aggregate recomputed from raw cached readings under the
-  // node. The exclusive epoch drains every in-flight writer (they all
-  // hold the shared side), so the snapshot is coherent.
+  // The exclusive epoch drains every in-flight writer (they all hold
+  // the shared side), so the snapshot is coherent. First the redundancy
+  // the reading table leaves: each leaf's cached-sensor list must name
+  // exactly the keys of its range that hold a reading, once each, and
+  // each such reading must be its key's sensor's.
   SyncTimedLock<EpochLatch> epoch_lock(epoch_latch_,
                                        SyncSite::kEpochExclusive);
-  // The leaf-resident reading tables must mirror the stores exactly:
-  // same membership (via cached_sensors) and same reading per sensor.
+  std::vector<size_t> partition_of(table_.num_keys(), 0);
   size_t leaf_total = 0;
   for (size_t id = 0; id < arena_.size(); ++id) {
-    if (!arena_.record(static_cast<int>(id)).IsLeaf()) continue;
-    const LeafCacheTable& table = leaf_tables_[id];
-    if (table.cached_readings.size() != table.cached_sensors.size()) {
+    const Node& n = arena_.record(static_cast<int>(id));
+    if (!n.IsLeaf()) continue;
+    std::vector<ReadingTable::Key> present;
+    for (int j = n.item_begin; j < n.item_end; ++j) {
+      const ReadingTable::Key key = static_cast<ReadingTable::Key>(j);
+      partition_of[key] = PartitionOf(static_cast<int>(id));
+      const Reading* r = table_.Get(key);
+      if (r == nullptr) continue;
+      if (r->sensor != sensor_order_[key]) {
+        return Status::Internal("foreign reading at key " +
+                                std::to_string(key));
+      }
+      present.push_back(key);
+    }
+    std::vector<ReadingTable::Key> listed = cached_keys_[id];
+    std::sort(listed.begin(), listed.end());
+    if (listed != present) {
       return Status::Internal(
-          "leaf reading table size diverges from cached-sensor set at "
-          "leaf " +
+          "cached-sensor list diverges from the cached readings at leaf " +
           std::to_string(id));
     }
-    leaf_total += table.cached_readings.size();
-    for (SensorId sid : table.cached_sensors) {
-      auto it = table.cached_readings.find(sid);
-      const Reading* r = StoredReadingLocked(sid);
-      if (it == table.cached_readings.end() || r == nullptr ||
-          r->value != it->second.value || r->expiry != it->second.expiry) {
-        return Status::Internal(
-            "leaf reading table diverges from store at leaf " +
-            std::to_string(id) + " sensor " + std::to_string(sid));
-      }
-    }
+    leaf_total += listed.size();
   }
-  size_t store_total = 0;
-  for (const ReadingStore& store : stores_) store_total += store.size();
-  if (leaf_total != store_total ||
-      store_total != cached_total_.load(std::memory_order_acquire)) {
+  // Every cached reading is linked once, in its shard's partition, in
+  // the bucket of its expiry slot, and the partitions add up.
+  if (Status links = table_.CheckLinks(scheme_, partition_of); !links.ok()) {
+    return links;
+  }
+  size_t table_total = 0;
+  for (size_t p = 0; p < table_.num_partitions(); ++p) {
+    table_total += table_.size(p);
+  }
+  if (leaf_total != table_total ||
+      table_total != cached_total_.load(std::memory_order_acquire)) {
     return Status::Internal(
-        "store totals diverge from leaf tables or the cached count");
+        "partition sizes diverge from the leaf lists or the cached count");
   }
+  // For every node and every in-window slot, the cached aggregate must
+  // equal the aggregate recomputed from raw cached readings under the
+  // node.
   for (size_t id = 0; id < arena_.size(); ++id) {
     const Node& n = arena_.record(static_cast<int>(id));
     for (SlotId s = scheme_.oldest(); s <= scheme_.newest(); ++s) {
       Aggregate expected;
       for (int j = n.item_begin; j < n.item_end; ++j) {
-        const Reading* r = StoredReadingLocked(sensor_order_[j]);
+        const Reading* r = table_.Get(static_cast<ReadingTable::Key>(j));
         if (r != nullptr && scheme_.SlotOf(r->expiry) == s) {
           expected.Add(r->value);
         }

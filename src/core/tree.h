@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster_tree.h"
@@ -14,7 +13,7 @@
 #include "common/sync_stats.h"
 #include "common/thread_annotations.h"
 #include "core/node_arena.h"
-#include "core/reading_store.h"
+#include "core/reading_table.h"
 #include "core/slot_cache.h"
 #include "geo/geo.h"
 #include "sensor/sensor.h"
@@ -23,8 +22,8 @@ namespace colr {
 
 /// The COLR-Tree index structure: a k-means cluster hierarchy over
 /// sensor locations (built in batch, §III-C) where every node carries
-/// a slot cache — leaves cache raw readings (via the shared
-/// ReadingStore), internal nodes cache per-slot aggregates over their
+/// a slot cache — leaves cache raw readings (one ReadingTable entry
+/// per sensor), internal nodes cache per-slot aggregates over their
 /// descendants' cached readings (§IV-B). All caches share one globally
 /// aligned SlotScheme.
 ///
@@ -54,24 +53,24 @@ namespace colr {
 ///      recompute safe, because a recompute at any root-region node
 ///      holds the lock that covers all mutators of its children;
 ///   4. node_mutex_ (innermost): striped per-node locks guarding each
-///      node's slot cache, cached-sensor set and leaf-resident reading
-///      table (held one at a time), letting concurrent queries read
-///      nodes a writer is not touching.
-/// There is no global store lock: the raw-reading store is sharded
-/// the same way as the writers — each shard's ReadingStore is guarded
-/// by that shard's stripe in shard_mutex_, which the insert path
-/// already holds, so an insert performs zero global lock
-/// acquisitions. A shared atomic fetch-sequence stamp totally orders
-/// fetches across shards, and capacity eviction picks the global
-/// least-recently-fetched victim by comparing per-shard candidates by
-/// (slot, seq) — the exact order the former single store evicted in.
+///      node's slot cache, a leaf's cached-sensor list and its
+///      sensors' cached readings (held one at a time), letting
+///      concurrent queries read nodes a writer is not touching.
+/// There is no global reading lock. The reading table is partitioned
+/// like the writers: a cached reading is written under its shard's
+/// stripe plus its leaf's node stripe and read under either (queries
+/// take only the leaf stripe); a partition's LRF links, fetch seqs and
+/// bucket heads stay under the shard stripe. One atomic seq counter
+/// orders fetches across partitions, so capacity eviction picks the
+/// exact global least-recently-fetched victim by comparing the
+/// partitions' (slot, seq) candidates.
 /// Per-slot version tags (AggregateSlotCache::SlotVersion) additionally
 /// validate recompute-from-children against concurrent slot mutation,
 /// turning any protocol gap into a retry instead of a lost update.
 /// Node mean availability and the slot-window head are single atomic
 /// words. All threads (including tests) read cached readings through
 /// the copying accessors (LookupCache, CachedReading, ...); the
-/// per-shard stores are internal.
+/// reading table is internal.
 ///
 /// The epoch side of this protocol is *statically checked*: every
 /// private maintenance method carries a COLR_REQUIRES /
@@ -110,7 +109,7 @@ class ColrTree {
   /// Structural node view: the one-cache-line arena record. All
   /// structural fields (bbox, level, parent, item range, child block)
   /// are immutable after construction. Mutable per-node cache state —
-  /// slot caches, availability, leaf reading tables — lives in the
+  /// slot caches, availability, leaf cached-sensor lists — lives in the
   /// tree's parallel arrays and is reached through the id-based
   /// accessors below (slot_cache(), mean_availability(), ...), not
   /// through the record.
@@ -221,7 +220,7 @@ class ColrTree {
     AtomicCounter<int64_t> slots_rolled = 0;
     /// Readings expunged because their slot slid out of the window.
     AtomicCounter<int64_t> readings_expunged = 0;
-    /// Readings evicted by the store's capacity constraint.
+    /// Readings evicted by the cache's capacity constraint.
     AtomicCounter<int64_t> readings_evicted = 0;
     /// Late-arriving readings dropped because their expiry slot was
     /// already outside the window at insert time.
@@ -250,11 +249,11 @@ class ColrTree {
   int writer_shard_level() const { return shard_level_; }
 
   /// Per-shard cache occupancy: cached readings and distinct occupied
-  /// slots in each writer shard's store. Follows the writer protocol
-  /// (shared epoch + each shard's stripe, one at a time), so it is
-  /// safe to call concurrently with inserts. Diagnostics for the
-  /// writer-scaling sweep: a skewed balance explains shard_writer
-  /// contention that shard count alone would not.
+  /// slots in each writer shard's reading-table partition. Follows the
+  /// writer protocol (shared epoch + each shard's stripe, one at a
+  /// time), so it is safe to call concurrently with inserts.
+  /// Diagnostics for the writer-scaling sweep: a skewed balance
+  /// explains shard_writer contention that shard count alone would not.
   struct ShardOccupancy {
     int shard_node = -1;
     size_t readings = 0;
@@ -289,7 +288,7 @@ class ColrTree {
     std::vector<SensorId> used_sensors;
     /// The used readings themselves, aligned with used_sensors —
     /// copied out under the leaf's stripe so callers never hold
-    /// references into the leaf-resident reading table.
+    /// references into the reading table.
     std::vector<Reading> used_readings;
   };
   /// How leaf entries are admitted against the freshness bound.
@@ -312,8 +311,8 @@ class ColrTree {
   /// at internal nodes, exact at leaves.
   int64_t CachedCount(int node_id, TimeMs now, TimeMs staleness_ms) const;
 
-  /// Copy of the cached reading for a sensor (empty if none). The
-  /// thread-safe replacement for store().Get().
+  /// Copy of the cached reading for a sensor (empty if none), read
+  /// under its leaf's stripe.
   std::optional<Reading> CachedReading(SensorId sensor) const;
 
   /// Whether the sensor's cached reading lies in a window slot
@@ -322,7 +321,10 @@ class ColrTree {
   /// aggregate lookups.
   bool CachedInNewerSlot(SensorId sensor, SlotId query_slot) const;
 
-  /// Structural / cache-consistency invariants (tests): per-node slot
+  /// Structural / cache-consistency invariants (tests): each leaf's
+  /// cached-sensor list names exactly its cached readings, the reading
+  /// table's links are sound (ReadingTable::CheckLinks) and its
+  /// partitions add up to CachedReadingCount(), and per-node slot
   /// aggregates equal the aggregates recomputed from the raw cached
   /// readings below the node.
   Status CheckCacheConsistency() const COLR_EXCLUDES(epoch_latch_);
@@ -338,27 +340,17 @@ class ColrTree {
   int ShardOf(int leaf_id) const {
     return AncestorAtLevel(leaf_id, shard_level_);
   }
-  /// The shard-local reading store for a leaf's sensors. Guarded by
-  /// the shard's stripe in shard_mutex_; the epoch contract keeps the
-  /// exclusive side (rolls/expunges walk the stores with no stripes
-  /// held) drained while any caller is inside a store.
-  ReadingStore& StoreForLeaf(int leaf_id)
-      COLR_REQUIRES_SHARED(epoch_latch_) {
-    return stores_[static_cast<size_t>(store_index_of_node_[ShardOf(leaf_id)])];
+  /// The reading-table partition of a leaf's sensors, whose links are
+  /// guarded by the shard's stripe in shard_mutex_; the epoch contract
+  /// keeps the exclusive side (expunges walk the partitions with no
+  /// stripes held) drained while any caller works on one.
+  size_t PartitionOf(int leaf_id) const COLR_REQUIRES_SHARED(epoch_latch_) {
+    return static_cast<size_t>(partition_of_node_[ShardOf(leaf_id)]);
   }
-  const ReadingStore& StoreForLeaf(int leaf_id) const
-      COLR_REQUIRES_SHARED(epoch_latch_) {
-    return stores_[static_cast<size_t>(store_index_of_node_[ShardOf(leaf_id)])];
-  }
-  /// Store lookup for the exclusive-epoch audit (CheckCacheConsistency
-  /// holds the exclusive side, which satisfies the shared requirement
-  /// and drains every store mutator).
-  const Reading* StoredReadingLocked(SensorId sid) const
-      COLR_REQUIRES_SHARED(epoch_latch_);
-  /// Evicts store entries until the capacity constraint holds, each
+  /// Evicts cached readings until the capacity constraint holds, each
   /// under the *victim's* shard lock. Caller must hold the shared
-  /// epoch and no shard lock. `protect` is never evicted.
-  void EnforceCacheCapacity(SensorId protect)
+  /// epoch and no shard lock. Key `protect` is never evicted.
+  void EnforceCacheCapacity(ReadingTable::Key protect)
       COLR_REQUIRES_SHARED(epoch_latch_);
   void PropagateAdd(int leaf_id, SlotId slot, double value)
       COLR_REQUIRES_SHARED(epoch_latch_);
@@ -373,7 +365,10 @@ class ColrTree {
       COLR_REQUIRES_SHARED(epoch_latch_);
   Aggregate LeafSlotAggregate(int leaf_id, SlotId slot) const
       COLR_REQUIRES_SHARED(epoch_latch_);
-  void RemoveFromLeafCachedSet(SensorId sensor)
+  /// Erases the reading cached under `key` from `partition` and from
+  /// its leaf's cached-sensor list, under the leaf's node stripe. The
+  /// caller holds the partition's shard stripe or the exclusive epoch.
+  void EraseCached(size_t partition, ReadingTable::Key key)
       COLR_REQUIRES_SHARED(epoch_latch_);
 
   Options options_;
@@ -388,39 +383,32 @@ class ColrTree {
   std::vector<AggregateSlotCache> caches_;
   /// Per-node mean availability (atomic words, indexed by arena id).
   std::vector<AtomicDouble> availability_;
-  /// Leaf-resident cache tables, indexed by arena id (empty for
-  /// internal nodes), each guarded by its node's stripe in
-  /// node_mutex_: the sensors with a currently cached reading plus the
-  /// reading per sensor — the leaf mirror of the per-shard
-  /// ReadingStore entries. Slot recomputes and leaf lookups read these
-  /// tables instead of the stores, so the hot read paths stay inside
-  /// the shard's own lock domain.
-  struct LeafCacheTable {
-    std::vector<SensorId> cached_sensors;
-    std::unordered_map<SensorId, Reading> cached_readings;
-  };
-  std::vector<LeafCacheTable> leaf_tables_;
+  /// Per-leaf table keys of the sensors with a cached reading, indexed
+  /// by arena id (empty for internal nodes), each guarded by its node's
+  /// stripe in node_mutex_. Appended on first insert, swap-removed on
+  /// erase: leaf lookups and slot recomputes accumulate values in this
+  /// order, which the golden fingerprints pin.
+  std::vector<std::vector<ReadingTable::Key>> cached_keys_;
   std::vector<SensorId> sensor_order_;
+  /// Each sensor's reading-table key: its position in sensor_order_.
+  std::vector<ReadingTable::Key> key_of_sensor_;
   /// leaf node id for each sensor.
   std::vector<int> leaf_of_sensor_;
   int root_ = -1;
   int height_ = 0;
   TimeMs t_max_ms_ = 0;
   SlotScheme scheme_;
-  /// One ReadingStore per writer shard, each guarded by its shard's
-  /// stripe in shard_mutex_ and sharing fetch_seq_ so eviction order
-  /// is globally exact. Individual stores are unbounded; the tree
-  /// enforces options_.cache_capacity across all of them
-  /// (EnforceCacheCapacity), tracking the total entry count in
-  /// cached_total_.
-  std::vector<ReadingStore> stores_;
-  /// Shard node id of each store in stores_ (lock key).
-  std::vector<int> shard_node_of_store_;
-  /// node id -> index into stores_ (-1 for non-shard nodes).
-  std::vector<int> store_index_of_node_;
-  /// Fetch-sequence source shared by all per-shard stores.
-  std::atomic<uint64_t> fetch_seq_{0};
-  /// Total readings cached across all shards.
+  /// The cached raw readings: one entry per sensor in leaf order (keyed
+  /// by key_of_sensor_), one partition per writer shard (lock domains
+  /// in the class comment). Partitions are unbounded; the tree enforces
+  /// options_.cache_capacity across all of them (EnforceCacheCapacity),
+  /// tracking the total in cached_total_.
+  ReadingTable table_;
+  /// Shard node id of each table partition (lock key).
+  std::vector<int> shard_node_of_partition_;
+  /// node id -> table partition (-1 for non-shard nodes).
+  std::vector<int> partition_of_node_;
+  /// Total readings cached across all partitions.
   std::atomic<size_t> cached_total_{0};
 
   /// Resolved Options::writer_shard_level.

@@ -72,6 +72,32 @@ TEST_F(FlatCacheTest, AdvanceToExpungesOldSlots) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+// Regression: a reading whose expiry slot already left the window used
+// to be cached, and at capacity the eviction skipped it as the new
+// reading and evicted the live one instead — the query then served
+// nothing.
+TEST_F(FlatCacheTest, DeadReadingDoesNotEvictLiveOne) {
+  FlatCache cache(&sensors_, kMin, 10 * kMin, /*capacity=*/1);  // 11 slots
+  // A live reading expiring in slot 25: the window becomes 15..25.
+  cache.Insert(Reading{sensors_[0].id, 20 * kMin, 25 * kMin + 1, 7.0});
+  // A dead one expiring in slot 5, long out of the window.
+  cache.Insert(Reading{sensors_[1].id, 0, 5 * kMin + 1, 9.0});
+  EXPECT_EQ(cache.size(), 1u);
+  const QueryRegion everywhere =
+      QueryRegion::FromRect(Rect::FromCorners(0, 0, 100, 100));
+  const auto lookup = cache.Query(everywhere, 20 * kMin, 0);
+  ASSERT_EQ(lookup.cached.size(), 1u);
+  EXPECT_EQ(lookup.cached[0].sensor, sensors_[0].id);
+  EXPECT_DOUBLE_EQ(lookup.cached[0].value, 7.0);
+}
+
+TEST_F(FlatCacheTest, IgnoresSensorsOutsideTheCatalog) {
+  FlatCache cache(&sensors_, kMin, 10 * kMin, 0);
+  cache.Insert(Reading{static_cast<SensorId>(sensors_.size()), 0, kMin, 1.0});
+  cache.Insert(Reading{kInvalidSensorId, 0, kMin, 1.0});
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 TEST_F(FlatCacheTest, PolygonRegionFilter) {
   FlatCache cache(&sensors_, kMin, 10 * kMin, 0);
   const QueryRegion region = QueryRegion::FromPolygon(

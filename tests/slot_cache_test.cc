@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "core/aggregate.h"
-#include "core/reading_store.h"
+#include "core/reading_table.h"
 #include "gtest/gtest.h"
 
 namespace colr {
@@ -226,136 +226,229 @@ TEST(AggregateSlotCacheTest, RefusesOutOfWindowMutations) {
 }
 
 // ---------------------------------------------------------------------------
-// ReadingStore
+// ReadingTable
 // ---------------------------------------------------------------------------
 
 Reading MakeReading(SensorId id, TimeMs ts, TimeMs expiry, double v) {
   return Reading{id, ts, expiry, v};
 }
 
-TEST(ReadingStoreTest, InsertGetReplace) {
-  SlotScheme s(1000, 5000);
-  ReadingStore store(10);
-  auto out = store.Insert(s, MakeReading(1, 0, 2500, 10.0));
-  EXPECT_FALSE(out.replaced);
-  EXPECT_TRUE(out.evicted.empty());
-  ASSERT_NE(store.Get(1), nullptr);
-  EXPECT_DOUBLE_EQ(store.Get(1)->value, 10.0);
-  // Replacing returns the old reading.
-  out = store.Insert(s, MakeReading(1, 100, 2600, 20.0));
-  EXPECT_TRUE(out.replaced);
-  EXPECT_DOUBLE_EQ(out.old_reading.value, 10.0);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_DOUBLE_EQ(store.Get(1)->value, 20.0);
-  EXPECT_EQ(store.Get(99), nullptr);
+// FlatCache's keying: each reading under its sensor's id.
+bool Insert(ReadingTable& table, size_t partition, const SlotScheme& s,
+            const Reading& r) {
+  return table.Insert(partition, s, r.sensor, r);
 }
 
-TEST(ReadingStoreTest, CapacityEvictsOldestSlotLeastRecentlyFetched) {
-  SlotScheme s(1000, 5000);
-  ReadingStore store(3);
-  // Two readings in slot 1, one in slot 3.
-  store.Insert(s, MakeReading(1, 0, 1100, 1.0));
-  store.Insert(s, MakeReading(2, 0, 1200, 2.0));
-  store.Insert(s, MakeReading(3, 0, 3500, 3.0));
-  // Touch sensor 1 so sensor 2 is the LRF entry in the oldest slot.
-  store.Touch(1);
-  auto out = store.Insert(s, MakeReading(4, 0, 4500, 4.0));
-  ASSERT_EQ(out.evicted.size(), 1u);
-  EXPECT_EQ(out.evicted[0].sensor, 2u);
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_NE(store.Get(1), nullptr);
-  EXPECT_EQ(store.Get(2), nullptr);
-}
-
-TEST(ReadingStoreTest, NeverEvictsJustInsertedReading) {
-  SlotScheme s(1000, 5000);
-  ReadingStore store(1);
-  store.Insert(s, MakeReading(1, 0, 1100, 1.0));
-  auto out = store.Insert(s, MakeReading(2, 0, 900, 2.0));
-  // Sensor 2's slot is the oldest; eviction must pick sensor 1.
-  ASSERT_EQ(out.evicted.size(), 1u);
-  EXPECT_EQ(out.evicted[0].sensor, 1u);
-  EXPECT_NE(store.Get(2), nullptr);
-}
-
-TEST(ReadingStoreTest, ExpungeExpiredSlots) {
-  SlotScheme s(1000, 3000);  // slots 0..3
-  ReadingStore store(100);
-  store.Insert(s, MakeReading(1, 0, 500, 1.0));    // slot 0
-  store.Insert(s, MakeReading(2, 0, 1500, 2.0));   // slot 1
-  store.Insert(s, MakeReading(3, 0, 3500, 3.0));   // slot 3
-  s.RollTo(5);  // window now 2..5
-  auto expunged = store.ExpungeExpiredSlots(s);
-  ASSERT_EQ(expunged.size(), 2u);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.Get(1), nullptr);
-  EXPECT_EQ(store.Get(2), nullptr);
-  EXPECT_NE(store.Get(3), nullptr);
-}
-
-TEST(ReadingStoreTest, ExpungeAfterRollPastWholeWindow) {
-  SlotScheme s(1000, 3000);  // 4 slots; window 0..3
-  ReadingStore store(100);
-  store.Insert(s, MakeReading(1, 0, 500, 1.0));    // slot 0
-  store.Insert(s, MakeReading(2, 0, 1500, 2.0));   // slot 1
-  store.Insert(s, MakeReading(3, 0, 3500, 3.0));   // slot 3
-  // Roll more than num_slots forward in one step: every occupied slot
-  // slides out, including ones whose ring position is reused by the
-  // new window.
-  s.RollTo(s.newest() + 2 * s.num_slots() + 1);
-  auto expunged = store.ExpungeExpiredSlots(s);
-  EXPECT_EQ(expunged.size(), 3u);
-  EXPECT_EQ(store.size(), 0u);
-  // The store is immediately usable in the new window.
-  store.Insert(s, MakeReading(1, 0, s.SlotLowerEdge(s.newest()) + 1, 4.0));
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_NE(store.Get(1), nullptr);
-}
-
-TEST(ReadingStoreTest, ReplacementAtCapacityEvictsNothing) {
-  SlotScheme s(1000, 5000);
-  ReadingStore store(2);
-  store.Insert(s, MakeReading(1, 0, 1100, 1.0));
-  store.Insert(s, MakeReading(2, 0, 3500, 2.0));
-  // Replacing sensor 1's reading (even into a different slot) keeps
-  // the store at capacity: no eviction, and never of sensor 1 itself.
-  auto out = store.Insert(s, MakeReading(1, 100, 4500, 9.0));
-  EXPECT_TRUE(out.replaced);
-  EXPECT_DOUBLE_EQ(out.old_reading.value, 1.0);
-  EXPECT_TRUE(out.evicted.empty());
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_DOUBLE_EQ(store.Get(1)->value, 9.0);
-  EXPECT_NE(store.Get(2), nullptr);
-}
-
-TEST(ReadingStoreTest, EraseAndClear) {
-  SlotScheme s(1000, 3000);
-  ReadingStore store(100);
-  store.Insert(s, MakeReading(1, 0, 500, 1.0));
-  store.Insert(s, MakeReading(2, 0, 1500, 2.0));
-  EXPECT_TRUE(store.Erase(1));
-  EXPECT_FALSE(store.Erase(1));
-  EXPECT_EQ(store.size(), 1u);
-  store.Clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.Get(2), nullptr);
-}
-
-TEST(ReadingStoreTest, UnboundedWhenCapacityZero) {
-  SlotScheme s(1000, 3000);
-  ReadingStore store(0);
-  for (SensorId i = 0; i < 1000; ++i) {
-    store.Insert(s, MakeReading(i, 0, 1500, 1.0));
+// The maintenance FlatCache and ColrTree run around a table partition:
+// after a roll, erase the readings whose slot slid out, oldest first...
+std::vector<SensorId> ExpungeExpired(ReadingTable& table,
+                                     const SlotScheme& s) {
+  std::vector<SensorId> expunged;
+  while (const auto v = table.PeekVictim(0)) {
+    if (v->slot >= s.oldest()) break;
+    expunged.push_back(v->key);
+    table.Erase(0, s, v->key);
   }
-  EXPECT_EQ(store.size(), 1000u);
+  return expunged;
 }
 
-TEST(ReadingStoreTest, StressAgainstModelOfSize) {
+// ...and after an insert, evict down to the capacity, never the new
+// reading.
+std::vector<SensorId> InsertWithCapacity(ReadingTable& table,
+                                         const SlotScheme& s,
+                                         const Reading& r, size_t capacity) {
+  std::vector<SensorId> evicted;
+  Insert(table, 0, s, r);
+  while (table.size(0) > capacity) {
+    const auto v = table.PeekVictim(0, r.sensor);
+    if (!v) break;
+    evicted.push_back(v->key);
+    table.Erase(0, s, v->key);
+  }
+  return evicted;
+}
+
+TEST(ReadingTableTest, InsertGetReplace) {
+  SlotScheme s(1000, 5000);
+  ReadingTable table(100, 1, s.num_slots());
+  EXPECT_TRUE(Insert(table, 0, s, MakeReading(1, 0, 2500, 10.0)));
+  ASSERT_NE(table.Get(1), nullptr);
+  EXPECT_DOUBLE_EQ(table.Get(1)->value, 10.0);
+  // Replacing keeps one reading per sensor, moved to its new slot.
+  EXPECT_TRUE(Insert(table, 0, s, MakeReading(1, 100, 3600, 20.0)));
+  EXPECT_EQ(table.size(0), 1u);
+  EXPECT_DOUBLE_EQ(table.Get(1)->value, 20.0);
+  EXPECT_EQ(table.OccupiedSlots(0), 1u);
+  EXPECT_EQ(table.PeekVictim(0)->slot, 3);
+  EXPECT_EQ(table.Get(99), nullptr);
+}
+
+TEST(ReadingTableTest, RejectsSensorIdsBeyondTheCatalog) {
+  SlotScheme s(1000, 5000);
+  ReadingTable table(10, 1, s.num_slots());
+  EXPECT_FALSE(Insert(table, 0, s, MakeReading(10, 0, 2500, 1.0)));
+  EXPECT_FALSE(
+      Insert(table, 0, s, MakeReading(kInvalidSensorId, 0, 2500, 1.0)));
+  EXPECT_EQ(table.size(0), 0u);
+  EXPECT_EQ(table.Get(10), nullptr);
+  EXPECT_EQ(table.Get(kInvalidSensorId), nullptr);
+  EXPECT_FALSE(table.Erase(0, s, 10));
+  table.Touch(0, s, 10);
+  EXPECT_FALSE(table.PeekVictim(0).has_value());
+  // A reading that names no sensor cannot be told from an empty entry.
+  EXPECT_FALSE(
+      table.Insert(0, s, 3, MakeReading(kInvalidSensorId, 0, 2500, 1.0)));
+  EXPECT_EQ(table.Get(3), nullptr);
+}
+
+// ColrTree keys readings by leaf-order position, not by sensor id.
+TEST(ReadingTableTest, KeysAreIndependentOfSensorIds) {
+  SlotScheme s(1000, 5000);
+  ReadingTable table(10, 1, s.num_slots());
+  EXPECT_TRUE(table.Insert(0, s, 4, MakeReading(7, 0, 2500, 1.0)));
+  ASSERT_NE(table.Get(4), nullptr);
+  EXPECT_EQ(table.Get(4)->sensor, 7u);
+  EXPECT_EQ(table.Get(7), nullptr);
+  EXPECT_EQ(table.PeekVictim(0)->key, 4u);
+  EXPECT_TRUE(table.Erase(0, s, 4));
+  EXPECT_EQ(table.size(0), 0u);
+}
+
+TEST(ReadingTableTest, CapacityEvictsOldestSlotLeastRecentlyFetched) {
+  SlotScheme s(1000, 5000);
+  ReadingTable table(10, 1, s.num_slots());
+  // Two readings in slot 1, one in slot 3.
+  InsertWithCapacity(table, s, MakeReading(1, 0, 1100, 1.0), 3);
+  InsertWithCapacity(table, s, MakeReading(2, 0, 1200, 2.0), 3);
+  InsertWithCapacity(table, s, MakeReading(3, 0, 3500, 3.0), 3);
+  // Touch sensor 1 so sensor 2 is the LRF entry in the oldest slot.
+  table.Touch(0, s, 1);
+  EXPECT_EQ(InsertWithCapacity(table, s, MakeReading(4, 0, 4500, 4.0), 3),
+            std::vector<SensorId>{2});
+  EXPECT_EQ(table.size(0), 3u);
+  EXPECT_NE(table.Get(1), nullptr);
+  EXPECT_EQ(table.Get(2), nullptr);
+}
+
+TEST(ReadingTableTest, NeverEvictsJustInsertedReading) {
+  SlotScheme s(1000, 5000);
+  ReadingTable table(10, 1, s.num_slots());
+  InsertWithCapacity(table, s, MakeReading(1, 0, 1100, 1.0), 1);
+  // Sensor 2's slot is the oldest; eviction must pick sensor 1.
+  EXPECT_EQ(InsertWithCapacity(table, s, MakeReading(2, 0, 900, 2.0), 1),
+            std::vector<SensorId>{1});
+  EXPECT_NE(table.Get(2), nullptr);
+  // Nothing but the protected reading is left to evict.
+  EXPECT_FALSE(table.PeekVictim(0, 2).has_value());
+}
+
+TEST(ReadingTableTest, ExpungeExpiredSlots) {
+  SlotScheme s(1000, 3000);  // slots 0..3
+  ReadingTable table(10, 1, s.num_slots());
+  Insert(table, 0, s, MakeReading(1, 0, 500, 1.0));    // slot 0
+  Insert(table, 0, s, MakeReading(2, 0, 1500, 2.0));   // slot 1
+  Insert(table, 0, s, MakeReading(3, 0, 3500, 3.0));   // slot 3
+  s.RollTo(5);  // window now 2..5
+  EXPECT_EQ(ExpungeExpired(table, s), (std::vector<SensorId>{1, 2}));
+  EXPECT_EQ(table.size(0), 1u);
+  EXPECT_EQ(table.Get(1), nullptr);
+  EXPECT_EQ(table.Get(2), nullptr);
+  EXPECT_NE(table.Get(3), nullptr);
+}
+
+TEST(ReadingTableTest, ExpungeAfterRollPastWholeWindow) {
+  SlotScheme s(1000, 3000);  // 4 slots; window 0..3
+  ReadingTable table(10, 1, s.num_slots());
+  Insert(table, 0, s, MakeReading(1, 0, 500, 1.0));    // slot 0
+  Insert(table, 0, s, MakeReading(2, 0, 1500, 2.0));   // slot 1
+  Insert(table, 0, s, MakeReading(3, 0, 3500, 3.0));   // slot 3
+  // Roll more than num_slots forward in one step: every occupied slot
+  // slides out, including ones whose ring position the new window
+  // reuses — new slot 12 shares slot 0's position, which refuses it
+  // until the slid-out readings are gone.
+  s.RollTo(s.newest() + 2 * s.num_slots() + 1);
+  ASSERT_EQ(s.newest(), 12);
+  const Reading fresh = MakeReading(4, 0, s.SlotLowerEdge(12) + 1, 4.0);
+  EXPECT_FALSE(Insert(table, 0, s, fresh));
+  EXPECT_EQ(ExpungeExpired(table, s).size(), 3u);
+  EXPECT_EQ(table.size(0), 0u);
+  // The table is immediately usable in the new window.
+  EXPECT_TRUE(Insert(table, 0, s, fresh));
+  EXPECT_EQ(table.size(0), 1u);
+  EXPECT_NE(table.Get(4), nullptr);
+}
+
+TEST(ReadingTableTest, ReplacementAtCapacityEvictsNothing) {
+  SlotScheme s(1000, 5000);
+  ReadingTable table(10, 1, s.num_slots());
+  InsertWithCapacity(table, s, MakeReading(1, 0, 1100, 1.0), 2);
+  InsertWithCapacity(table, s, MakeReading(2, 0, 3500, 2.0), 2);
+  // Replacing sensor 1's reading (even into a different slot) keeps
+  // the table at capacity: no eviction, and never of sensor 1 itself.
+  EXPECT_TRUE(
+      InsertWithCapacity(table, s, MakeReading(1, 100, 4500, 9.0), 2).empty());
+  EXPECT_EQ(table.size(0), 2u);
+  EXPECT_DOUBLE_EQ(table.Get(1)->value, 9.0);
+  EXPECT_NE(table.Get(2), nullptr);
+}
+
+TEST(ReadingTableTest, Erase) {
+  SlotScheme s(1000, 3000);
+  ReadingTable table(10, 1, s.num_slots());
+  Insert(table, 0, s, MakeReading(1, 0, 500, 1.0));
+  Insert(table, 0, s, MakeReading(2, 0, 1500, 2.0));
+  EXPECT_TRUE(table.Erase(0, s, 1));
+  EXPECT_FALSE(table.Erase(0, s, 1));
+  EXPECT_EQ(table.size(0), 1u);
+  EXPECT_EQ(table.OccupiedSlots(0), 1u);
+  EXPECT_EQ(table.Get(1), nullptr);
+  EXPECT_NE(table.Get(2), nullptr);
+}
+
+TEST(ReadingTableTest, HoldsOneReadingPerSensor) {
+  SlotScheme s(1000, 3000);
+  ReadingTable table(1000, 1, s.num_slots());
+  for (int round = 0; round < 2; ++round) {
+    for (SensorId i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(Insert(table, 0, s, MakeReading(i, 0, 1500, round)));
+    }
+    EXPECT_EQ(table.size(0), 1000u);
+  }
+  EXPECT_EQ(table.OccupiedSlots(0), 1u);
+}
+
+// The seq counter is shared by all partitions, so per-partition
+// victims compare by (slot, seq) into the one global LRF order.
+TEST(ReadingTableTest, SharedSeqOrdersVictimsAcrossPartitions) {
+  SlotScheme s(1000, 5000);
+  ReadingTable table(10, 2, s.num_slots());
+  Insert(table, 0, s, MakeReading(1, 0, 1100, 1.0));  // partition 0, slot 1
+  Insert(table, 1, s, MakeReading(2, 0, 1200, 2.0));  // partition 1, slot 1
+  Insert(table, 1, s, MakeReading(3, 0, 2500, 3.0));  // partition 1, slot 2
+  table.Touch(0, s, 1);
+  const auto v0 = table.PeekVictim(0);
+  const auto v1 = table.PeekVictim(1);
+  ASSERT_TRUE(v0 && v1);
+  EXPECT_EQ(v0->key, 1u);
+  EXPECT_EQ(v1->key, 2u);
+  EXPECT_EQ(v0->slot, v1->slot);
+  EXPECT_LT(v1->seq, v0->seq);
+  EXPECT_EQ(table.OccupiedSlots(1), 2u);
+
+  std::vector<size_t> partition_of(10, 0);
+  partition_of[2] = partition_of[3] = 1;
+  EXPECT_TRUE(table.CheckLinks(s, partition_of).ok());
+  partition_of[3] = 0;
+  EXPECT_FALSE(table.CheckLinks(s, partition_of).ok());
+}
+
+TEST(ReadingTableTest, StressAgainstModelOfSize) {
   // Property: size never exceeds capacity; Get returns the last
-  // inserted reading for any live sensor.
+  // inserted reading for any live sensor; the links stay sound.
   Rng rng(9);
   SlotScheme s(500, 4000);
-  ReadingStore store(50);
+  ReadingTable table(200, 1, s.num_slots());
+  const std::vector<size_t> partition_of(200, 0);
   std::vector<double> last_value(200, -1.0);
   TimeMs now = 0;
   for (int step = 0; step < 5000; ++step) {
@@ -363,27 +456,32 @@ TEST(ReadingStoreTest, StressAgainstModelOfSize) {
     const SensorId sid = static_cast<SensorId>(rng.UniformInt(200));
     const TimeMs expiry = now + 500 + rng.UniformInt(3500);
     s.RollTo(s.SlotOf(expiry));
-    for (const Reading& r : store.ExpungeExpiredSlots(s)) {
-      last_value[r.sensor] = -1.0;
+    for (SensorId gone : ExpungeExpired(table, s)) last_value[gone] = -1.0;
+    for (SensorId gone :
+         InsertWithCapacity(table, s, MakeReading(sid, now, expiry, step),
+                            50)) {
+      last_value[gone] = -1.0;
     }
-    auto out = store.Insert(s, MakeReading(sid, now, expiry, step));
     last_value[sid] = step;
-    for (const Reading& r : out.evicted) last_value[r.sensor] = -1.0;
-    ASSERT_LE(store.size(), 50u);
-    const Reading* got = store.Get(sid);
+    ASSERT_LE(table.size(0), 50u);
+    const Reading* got = table.Get(sid);
     ASSERT_NE(got, nullptr);
     EXPECT_DOUBLE_EQ(got->value, step);
+    if (step % 500 == 0) {
+      ASSERT_TRUE(table.CheckLinks(s, partition_of).ok()) << "step " << step;
+    }
   }
   // Every sensor the model believes live must be present.
   for (SensorId i = 0; i < 200; ++i) {
     if (last_value[i] >= 0) {
-      const Reading* r = store.Get(i);
+      const Reading* r = table.Get(i);
       ASSERT_NE(r, nullptr) << "sensor " << i;
       EXPECT_DOUBLE_EQ(r->value, last_value[i]);
     } else {
-      EXPECT_EQ(store.Get(i), nullptr);
+      EXPECT_EQ(table.Get(i), nullptr);
     }
   }
+  EXPECT_TRUE(table.CheckLinks(s, partition_of).ok());
 }
 
 // ---------------------------------------------------------------------------
