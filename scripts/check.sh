@@ -5,8 +5,9 @@
 # lock-order detector armed (COLR_DEADLOCK_CHECK=ON), then the static
 # leg — project lint, the clang thread-safety/-Werror contract build
 # with clang-tidy, a full UBSan test run, and a high-iteration wire
-# fuzz under ASan+UBSan — then a smoke check that the sync-stats
-# instrumentation and deadlock hooks compile to a no-op when disabled.
+# fuzz plus the probe-path suites under ASan+UBSan — then a smoke
+# check that the sync-stats instrumentation and deadlock hooks compile
+# to a no-op when disabled.
 # Right after tier-1 it also builds the benchmark (perfbench
 # --self-test). The clang pieces skip with a clear message on hosts
 # without clang/clang-tidy, so a GCC-only host still runs everything
@@ -97,16 +98,24 @@ cmake -B build-ubsan -S . -DCOLR_SANITIZE=undefined -DCOLR_WERROR=ON >/dev/null
 cmake --build build-ubsan -j "$jobs"
 (cd build-ubsan && ctest --output-on-failure -j "$jobs")
 
-echo "== fuzz: wire codec under ASan+UBSan =="
+echo "== fuzz + probe path: ASan+UBSan =="
 # High-iteration garbage fuzz of the frame decoder and payload
 # codecs: COLR_FUZZ_ITERS scales the random-input loops in
 # net_codec_test far past their tier-1 budget, and the combined
 # address+undefined build turns any over-read or UB in the parsing
 # paths into an abort. Override COLR_FUZZ_ITERS to go deeper.
+# The probe path indexes per-sensor arrays (scheduler state, the
+# query deduper's marks) by sensor id, where a bad id is a raw
+# out-of-bounds access: the UBSan leg does not bounds-check
+# std::vector, so its suites run here too.
 cmake -B build-asan -S . -DCOLR_SANITIZE=address,undefined >/dev/null
-cmake --build build-asan -j "$jobs" --target net_codec_test
+cmake --build build-asan -j "$jobs" --target net_codec_test \
+  probe_scheduler_test engine_test probe_path_alloc_test
 COLR_FUZZ_ITERS="${COLR_FUZZ_ITERS:-100000}" \
   ./build-asan/tests/net_codec_test --gtest_filter='*Garbage*:*Truncated*'
+./build-asan/tests/probe_scheduler_test
+./build-asan/tests/engine_test
+./build-asan/tests/probe_path_alloc_test
 
 echo "== flash crowd: cross-query coalescing smoke =="
 # The probe scheduler's reason to exist: when concurrent streams slam

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace colr {
@@ -83,17 +81,15 @@ std::vector<Reading> ColrEngine::ProbeBatch(const std::vector<SensorId>& ids,
   if (tracker_ != nullptr) {
     // Availability evidence covers exactly the probes *this query*
     // issued (coalesced/reused requests were someone else's probe —
-    // recording them again would double-weight the EWMA). Successes
-    // are identified by the issued readings; everything else issued
-    // failed. Count successes per sensor so a duplicated id records
-    // one outcome per occurrence (a positional first-match scan would
-    // mark every repeat a spurious failure and bias the EWMA low).
-    std::unordered_map<SensorId, int> successes;
-    for (const Reading& r : batch.issued_readings) ++successes[r.sensor];
+    // recording them again would double-weight the EWMA). The issued
+    // readings are the first issued_readings entries, in request
+    // order, so one forward walk gives each issued occurrence its own
+    // outcome (a duplicated id records one outcome per occurrence).
+    size_t next = 0;
     for (SensorId id : batch.issued_ids) {
-      auto it = successes.find(id);
-      const bool ok = it != successes.end() && it->second > 0;
-      if (ok) --it->second;
+      const bool ok = next < batch.issued_readings &&
+                      batch.readings[next].sensor == id;
+      if (ok) ++next;
       tracker_->Record(id, ok);
     }
   }
@@ -293,8 +289,15 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
   // Query-wide ≤1-probe guard: the per-leaf batches below are built
   // from disjoint leaf memberships today, but the contract is the
   // paper's, not the tree's — a sensor reachable under two visited
-  // groups must still be probed (and counted) once.
-  ProbeDeduper dedup;
+  // groups must still be probed (and counted) once. Sensors served
+  // from cache are marked too, so they are never probed. The deduper
+  // and the leaf probe buffer are reused across queries so the probe
+  // path allocates nothing per probed sensor. They are per thread: a
+  // thread runs one query at a time (ThreadPool::ParallelFor drains
+  // only its own chunks on the caller).
+  thread_local ProbeDeduper dedup;
+  thread_local std::vector<SensorId> to_probe;
+  dedup.Begin(tree_->sensors().size());
 
   if (tree_->root() >= 0 &&
       query.region.Intersects(tree_->node(tree_->root()).bbox)) {
@@ -349,7 +352,6 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
       }
 
       // Leaf: serve from cache what we can, probe the rest.
-      std::vector<SensorId> to_probe;
       GroupResult& g = group_for(id);
       if (use_cache) {
         const bool partial = !contained;
@@ -361,15 +363,14 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
         ColrTree::CacheLookup lookup = tree_->LookupCache(
             id, now, query.staleness_ms, partial ? &filter : nullptr,
             ColrTree::FreshnessRule::kSlotAligned);
-        std::unordered_set<SensorId> used;
-        used.reserve(lookup.used_sensors.size());
+        int64_t served = 0;
         for (size_t i = 0; i < lookup.used_sensors.size(); ++i) {
           const SensorId sid = lookup.used_sensors[i];
           if (query.region.polygon &&
               !query.region.Contains(tree_->sensor(sid).location)) {
             continue;
           }
-          used.insert(sid);
+          ++served;
           dedup.MarkServed(sid);
           const Reading& cached_reading = lookup.used_readings[i];
           g.agg.Add(cached_reading.value);
@@ -379,29 +380,21 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
             result.served_from_cache.push_back(cached_reading);
           }
         }
-        if (!used.empty()) ++result.stats.cached_nodes_accessed;
-        result.stats.cache_readings_used += used.size();
-        result.stats.result_size += used.size();
-        for (SensorId sid :
-             tree_->SensorsUnderInRegion(id, query.region.bbox)) {
-          if (query.region.polygon &&
-              !query.region.Contains(tree_->sensor(sid).location)) {
-            continue;
-          }
-          if (used.count(sid) == 0 && dedup.Admit(sid)) {
-            to_probe.push_back(sid);
-          }
-        }
-      } else {
-        for (SensorId sid :
-             tree_->SensorsUnderInRegion(id, query.region.bbox)) {
-          if (query.region.polygon &&
-              !query.region.Contains(tree_->sensor(sid).location)) {
-            continue;
-          }
-          if (dedup.Admit(sid)) to_probe.push_back(sid);
-        }
+        if (served > 0) ++result.stats.cached_nodes_accessed;
+        result.stats.cache_readings_used += served;
+        result.stats.result_size += served;
       }
+      to_probe.clear();
+      tree_->SensorsUnderInRegion(id, query.region.bbox, &to_probe);
+      size_t admitted = 0;
+      for (SensorId sid : to_probe) {
+        if (query.region.polygon &&
+            !query.region.Contains(tree_->sensor(sid).location)) {
+          continue;
+        }
+        if (dedup.Admit(sid)) to_probe[admitted++] = sid;
+      }
+      to_probe.resize(admitted);
       if (!to_probe.empty()) {
         std::vector<Reading> readings = ProbeBatch(to_probe, &acct);
         for (const Reading& r : readings) {

@@ -60,11 +60,12 @@ class ExecutionContext {
 /// Thread safety: the engine itself is an immutable plan/traversal
 /// core over thread-safe components. Execute(query, ctx) may be called
 /// from many threads at once — per-query mutable state lives in the
-/// ExecutionContext and the QueryResult; cumulative counters are
-/// atomics. The convenience overload Execute(query) borrows the
-/// engine's persistent RNG and is therefore for single-threaded
-/// (sequential) use only; it reproduces the pre-concurrency behaviour
-/// bit for bit.
+/// ExecutionContext, the QueryResult and a per-thread scratch that
+/// range queries reuse (deduper marks, probe buffer); cumulative
+/// counters are atomics. The convenience overload Execute(query)
+/// borrows the engine's persistent RNG and is therefore for
+/// single-threaded (sequential) use only; it reproduces the
+/// pre-concurrency behaviour bit for bit.
 class ColrEngine {
  public:
   enum class Mode { kRTree, kFlatCache, kHierCache, kColr };

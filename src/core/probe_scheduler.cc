@@ -1,7 +1,6 @@
 #include "core/probe_scheduler.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 namespace colr {
@@ -57,6 +56,12 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
   if (ids.empty()) return out;
 
   const TimeMs now = clock_->NowMs();
+  // Marks the sensors *this call* leads. A duplicated occurrence in
+  // `ids` finds its own ticket and must not join its own flight: the
+  // network deliberately probes every occurrence (per-occurrence
+  // availability accounting, see ColrEngine::ProbeBatch), so repeats
+  // go straight into the lead batch.
+  const uint64_t ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
 
   // A flight another query already has in the network; we captured its
   // completion counter and will wait for it to advance.
@@ -66,30 +71,33 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
   };
   std::vector<Join> joins;
   std::vector<SensorId> lead;
-  // Sensors *this call* marked in flight. A duplicated occurrence in
-  // `ids` must not join its own flight: the network deliberately
-  // probes every occurrence (per-occurrence availability accounting,
-  // see ColrEngine::ProbeBatch), so repeats go straight into the lead
-  // batch.
-  std::unordered_set<SensorId> leading;
+  lead.reserve(ids.size());
   std::vector<Reading> reused_readings;
 
   // Phase 1 — classify every occurrence, in request order, one stripe
   // lock at a time.
   for (SensorId sid : ids) {
-    if (leading.count(sid) != 0) {
-      lead.push_back(sid);
-      if (!ReserveOutstanding()) {
-        lead.pop_back();
-        ++out.shed;
-        ++shed_admission_;
-      }
+    if (sid >= states_.size()) {
+      // Outside the catalog: never reaches the backend, like every
+      // other per-sensor table (ReadingTable, AvailabilityTracker).
+      ++out.shed;
+      ++shed_admission_;
       continue;
     }
     Stripe& st = StripeFor(sid);
     SyncTimedLock<Mutex> lock(st.mu, SyncSite::kProbeFlight);
     SensorState& s = states_[static_cast<size_t>(sid)];
-    if (s.in_flight) {
+    if (s.flight_ticket == ticket) {
+      if (!ReserveOutstanding()) {
+        ++out.shed;
+        ++shed_admission_;
+        continue;
+      }
+      ++s.pending_occurrences;
+      lead.push_back(sid);
+      continue;
+    }
+    if (s.flight_ticket != 0) {
       joins.push_back({sid, s.flights_done});
       ++out.coalesced;
       ++coalesced_;
@@ -116,8 +124,9 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
       continue;
     }
     if (options_.token_refill_ms > 0) s.tokens -= 1.0;
-    s.in_flight = true;
-    leading.insert(sid);
+    s.flight_ticket = ticket;
+    s.pending_occurrences = 1;
+    s.staged_reading = 0;
     lead.push_back(sid);
   }
 
@@ -132,29 +141,33 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
     issued_ += static_cast<int64_t>(lead.size());
     out.latency_ms = batch.latency_ms;
     const TimeMs done = clock_->NowMs();
-    // Latest returned reading per sensor (duplicated occurrences: the
-    // last success wins the cache slot; every occurrence still reached
-    // the network).
-    std::unordered_map<SensorId, const Reading*> success;
-    for (const Reading& r : batch.readings) success[r.sensor] = &r;
-    for (SensorId sid : leading) {
+    // Readings come back in request order, so one forward walk pairs
+    // each with its occurrence. A sensor publishes once, after its
+    // last occurrence: success if any occurrence succeeded, carrying
+    // the last success (every occurrence still reached the network).
+    size_t next = 0;
+    for (SensorId sid : lead) {
+      const bool ok = next < batch.readings.size() &&
+                      batch.readings[next].sensor == sid;
+      if (ok) ++next;
       Stripe& st = StripeFor(sid);
       SyncTimedLock<Mutex> lock(st.mu, SyncSite::kProbeFlight);
       SensorState& s = states_[static_cast<size_t>(sid)];
-      s.in_flight = false;
+      if (ok) s.staged_reading = static_cast<uint32_t>(next);
+      if (--s.pending_occurrences > 0) continue;
+      s.flight_ticket = 0;
       ++s.flights_done;
       s.has_result = true;
-      auto it = success.find(sid);
-      s.last_success = it != success.end();
-      if (s.last_success) s.last_reading = *it->second;
+      s.last_success = s.staged_reading > 0;
+      if (s.last_success) s.last_reading = batch.readings[s.staged_reading - 1];
       s.last_latency_ms = batch.latency_ms;
       s.last_done_ms = done;
-      st.cv.notify_all();
+      if (st.waiters > 0) st.cv.notify_all();
     }
     outstanding_.fetch_sub(lead.size(), std::memory_order_relaxed);
     out.issued_ids = std::move(lead);
-    out.readings = batch.readings;
-    out.issued_readings = std::move(batch.readings);
+    out.issued_readings = batch.readings.size();
+    out.readings = std::move(batch.readings);
   }
 
   // Phase 3 — wait out the flights we joined and share their results.
@@ -162,7 +175,11 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
     Stripe& st = StripeFor(j.sid);
     SyncTimedLock<Mutex> lock(st.mu, SyncSite::kProbeFlight);
     SensorState& s = states_[static_cast<size_t>(j.sid)];
-    while (s.flights_done <= j.flights_before) st.cv.wait(st.mu);
+    if (s.flights_done <= j.flights_before) {
+      ++st.waiters;
+      while (s.flights_done <= j.flights_before) st.cv.wait(st.mu);
+      --st.waiters;
+    }
     if (s.last_success) out.readings.push_back(s.last_reading);
     out.latency_ms = std::max(out.latency_ms, s.last_latency_ms);
   }

@@ -1,12 +1,12 @@
 #ifndef COLR_CORE_PROBE_SCHEDULER_H_
 #define COLR_CORE_PROBE_SCHEDULER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -24,21 +24,41 @@ namespace colr {
 /// served from another group's cache slice) is dropped and counted, so
 /// one query can never probe — or double-count — the same sensor
 /// twice no matter how the visited groups overlap.
+///
+/// One mark per sensor id, stamped with the current query's
+/// generation: Begin() forgets every mark by bumping the generation,
+/// so a deduper reused across queries allocates only when the catalog
+/// it sees grows, never per query.
 class ProbeDeduper {
  public:
-  /// True exactly once per sensor id.
+  /// Starts a query over sensor ids [0, num_sensors): forgets every
+  /// mark and zeroes the duplicate count. Must precede Admit/MarkServed.
+  void Begin(size_t num_sensors) {
+    if (marks_.size() < num_sensors) marks_.resize(num_sensors, 0);
+    if (++generation_ == 0) {
+      // Wrapped: a stale stamp could equal a reused generation.
+      std::fill(marks_.begin(), marks_.end(), 0);
+      generation_ = 1;
+    }
+    duplicates_ = 0;
+  }
+  /// True exactly once per sensor id since Begin().
   bool Admit(SensorId id) {
-    if (seen_.insert(id).second) return true;
+    if (marks_[id] != generation_) {
+      marks_[id] = generation_;
+      return true;
+    }
     ++duplicates_;
     return false;
   }
   /// Marks a sensor as already answered (e.g. served from cache) so a
   /// later Admit() for it is rejected.
-  void MarkServed(SensorId id) { seen_.insert(id); }
+  void MarkServed(SensorId id) { marks_[id] = generation_; }
   int64_t duplicates_dropped() const { return duplicates_; }
 
  private:
-  std::unordered_set<SensorId> seen_;
+  std::vector<uint32_t> marks_;
+  uint32_t generation_ = 0;
   int64_t duplicates_ = 0;
 };
 
@@ -103,7 +123,10 @@ class ProbeScheduler {
 
   /// Issues one batch to the underlying collection substrate. The
   /// production backend is SensorNetwork::ProbeBatch; tests substitute
-  /// lockstep fakes.
+  /// lockstep fakes. Readings must come back in request order (a
+  /// subsequence of the ids, one per successful occurrence), as
+  /// SensorNetwork::ProbeBatch documents: the scheduler matches them
+  /// to the ids it led in one forward walk.
   using Backend =
       std::function<SensorNetwork::BatchResult(const std::vector<SensorId>&)>;
 
@@ -118,9 +141,10 @@ class ProbeScheduler {
   ProbeScheduler& operator=(const ProbeScheduler&) = delete;
 
   /// Result of one scheduled batch, with the probes partitioned by how
-  /// they were satisfied. readings = issued_readings ++ joined ++
-  /// reused; requested == issued_ids.size() + coalesced + reused +
-  /// shed always holds.
+  /// they were satisfied. readings = issued ++ joined ++ reused, the
+  /// issued ones being its first issued_readings entries;
+  /// requested == issued_ids.size() + coalesced + reused + shed always
+  /// holds.
   struct BatchOutcome {
     /// Every reading collected for the caller (issued + joined +
     /// reused), issued ones first in network order.
@@ -128,18 +152,18 @@ class ProbeScheduler {
     /// Ids this call actually sent to the network, in request order
     /// (duplicate occurrences preserved — the network counts each).
     std::vector<SensorId> issued_ids;
-    /// The readings the network returned for issued_ids (subset of
-    /// `readings`); the caller's availability accounting covers
-    /// exactly these.
-    std::vector<Reading> issued_readings;
+    /// Length of the prefix of `readings` the network returned for
+    /// issued_ids, in request order; the caller's availability
+    /// accounting covers exactly these.
+    size_t issued_readings = 0;
     size_t requested = 0;
     /// Requests that joined another query's in-flight probe.
     size_t coalesced = 0;
     /// Requests served from a sensor's last completed probe (rate
     /// limiter hit within the reuse window).
     size_t reused = 0;
-    /// Requests dropped (rate limiter outside the reuse window, or
-    /// admission bound).
+    /// Requests dropped (rate limiter outside the reuse window,
+    /// admission bound, or an id outside the catalog).
     size_t shed = 0;
     /// Collection latency of this call: the issued batch's simulated
     /// latency, maxed with the latencies of every joined flight
@@ -159,6 +183,8 @@ class ProbeScheduler {
     int64_t coalesced = 0;
     int64_t reused = 0;
     int64_t shed_rate_limited = 0;
+    /// Admission bound hits plus ids outside the catalog (neither
+    /// reaches the backend).
     int64_t shed_admission = 0;
     int64_t batches = 0;
   };
@@ -176,28 +202,43 @@ class ProbeScheduler {
     /// _any variant: waits on the annotated Mutex capability directly
     /// (same idiom as thread_pool.h).
     std::condition_variable_any cv;
+    /// Joiners blocked on cv (guarded by mu); a publish with none
+    /// skips notify_all.
+    int waiters = 0;
   };
 
   /// Per-sensor scheduling state. Guarded by the sensor's stripe — a
   /// runtime-keyed association the static analysis cannot follow
   /// (same contract as StripedMutex; enforced by TSan).
   struct SensorState {
-    /// A probe for this sensor is in the network right now.
-    bool in_flight = false;
+    /// Ticket of the ProbeBatch call whose probe for this sensor is in
+    /// the network right now; 0 = none. A call that finds its own
+    /// ticket is seeing a repeat occurrence of an id it leads.
+    uint64_t flight_ticket = 0;
     /// Completed-flight counter; joiners capture it at classification
     /// and wait until it advances.
     uint64_t flights_done = 0;
-    /// Last completed probe outcome (valid once has_result).
+    /// Leader-private while a flight is open: occurrences of this
+    /// sensor in the lead batch not yet matched to their outcome (the
+    /// flight publishes when it reaches 0), and 1 + the index in the
+    /// batch's readings of its last success so far (0 = none yet).
+    uint32_t pending_occurrences = 0;
+    uint32_t staged_reading = 0;
+    /// Last completed probe outcome (valid once has_result), written
+    /// only when a flight publishes.
     bool has_result = false;
     bool last_success = false;
+    /// Token bucket (lazily initialized to tokens_max on first use).
+    bool tokens_init = false;
     Reading last_reading{};
     TimeMs last_latency_ms = 0;
     TimeMs last_done_ms = 0;
-    /// Token bucket (lazily initialized to tokens_max on first use).
-    bool tokens_init = false;
     double tokens = 0.0;
     TimeMs token_stamp_ms = 0;
   };
+  // One entry per catalog sensor (370k at Live-Local scale), so its
+  // size is resident memory: new fields must fit existing padding.
+  static_assert(sizeof(SensorState) <= 96, "SensorState grew");
 
   Stripe& StripeFor(SensorId id) {
     return stripes_[static_cast<size_t>(id) % kStripes];
@@ -216,6 +257,8 @@ class ProbeScheduler {
   /// vector itself is immutable after construction.
   std::vector<SensorState> states_;
   std::atomic<size_t> outstanding_{0};
+  /// Source of per-call flight tickets; 0 is reserved for "no flight".
+  std::atomic<uint64_t> next_ticket_{1};
 
   AtomicCounter<int64_t> requested_ = 0;
   AtomicCounter<int64_t> issued_ = 0;

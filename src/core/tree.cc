@@ -161,19 +161,16 @@ void ColrTree::RefreshAvailability(const std::vector<double>& estimates) {
   }
 }
 
-std::vector<SensorId> ColrTree::SensorsUnderInRegion(
-    int node_id, const Rect& region) const {
+void ColrTree::SensorsUnderInRegion(int node_id, const Rect& region,
+                                    std::vector<SensorId>* out) const {
   const Node& n = arena_.record(node_id);
-  std::vector<SensorId> out;
-  out.reserve(n.Weight());
   const bool full = region.Contains(n.bbox);
   for (int j = n.item_begin; j < n.item_end; ++j) {
     const SensorId sid = sensor_order_[j];
     if (full || region.Contains(sensors_[sid].location)) {
-      out.push_back(sid);
+      out->push_back(sid);
     }
   }
-  return out;
 }
 
 void ColrTree::ExpungeAfterRoll() {

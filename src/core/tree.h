@@ -179,9 +179,10 @@ class ColrTree {
   /// factor of Algorithm 1. Thread-safe (atomic per-node stores).
   void RefreshAvailability(const std::vector<double>& estimates);
 
-  /// Sensor ids under `node_id` whose location lies inside `region`.
-  std::vector<SensorId> SensorsUnderInRegion(int node_id,
-                                             const Rect& region) const;
+  /// Appends the sensor ids under `node_id` whose location lies
+  /// inside `region` to `out` (callers reuse one buffer across nodes).
+  void SensorsUnderInRegion(int node_id, const Rect& region,
+                            std::vector<SensorId>* out) const;
 
   // ---- Cache maintenance (the paper's triggers) -------------------------
 

@@ -26,29 +26,31 @@ SensorNetwork::SensorNetwork(std::vector<SensorInfo> sensors,
   };
 }
 
-SensorNetwork::ProbeResult SensorNetwork::Probe(SensorId id) {
+SensorNetwork::ProbeResult SensorNetwork::DrawProbe(SensorId id) {
   ProbeResult result;
-  if (id >= sensors_.size()) {
-    result.success = false;
-    result.latency_ms = 0;
-    return result;
-  }
+  if (id >= sensors_.size()) return result;
   const SensorInfo& info = sensors_[id];
   ++counters_.probes;
   per_sensor_probes_[id].fetch_add(1, std::memory_order_relaxed);
-  {
-    // One critical section per probe covering both draws, so the
-    // sequential draw order (success then latency) is exactly the
-    // pre-concurrency stream.
-    MutexLock lock(rng_mutex_, SyncSite::kNetworkRng);
-    result.success = rng_.Bernoulli(info.availability);
-    result.latency_ms = DrawLatency(result.success);
-  }
+  result.success = rng_.Bernoulli(info.availability);
+  result.latency_ms = DrawLatency(result.success);
   if (result.success) {
     ++counters_.successes;
     const TimeMs now = clock_->NowMs();
-    result.reading = Reading{info.id, now, now + info.expiry_ms,
-                             value_fn_(info, now)};
+    result.reading = Reading{info.id, now, now + info.expiry_ms, 0.0};
+  }
+  return result;
+}
+
+SensorNetwork::ProbeResult SensorNetwork::Probe(SensorId id) {
+  ProbeResult result;
+  {
+    MutexLock lock(rng_mutex_, SyncSite::kNetworkRng);
+    result = DrawProbe(id);
+  }
+  if (result.success) {
+    result.reading.value =
+        value_fn_(sensors_[id], result.reading.timestamp);
   }
   return result;
 }
@@ -72,10 +74,20 @@ SensorNetwork::BatchResult SensorNetwork::ProbeBatch(
       if (r.success) batch.readings.push_back(r.reading);
     }
   } else {
-    for (SensorId id : ids) {
-      ProbeResult r = Probe(id);
-      batch.latency_ms = std::max(batch.latency_ms, r.latency_ms);
-      if (r.success) batch.readings.push_back(r.reading);
+    batch.readings.reserve(ids.size());
+    {
+      // One RNG section for the whole batch; the draws are still
+      // success then latency, id by id — the same stream as probing
+      // the ids one at a time.
+      MutexLock lock(rng_mutex_, SyncSite::kNetworkRng);
+      for (SensorId id : ids) {
+        const ProbeResult r = DrawProbe(id);
+        batch.latency_ms = std::max(batch.latency_ms, r.latency_ms);
+        if (r.success) batch.readings.push_back(r.reading);
+      }
+    }
+    for (Reading& r : batch.readings) {
+      r.value = value_fn_(sensors_[r.sensor], r.timestamp);
     }
   }
   if (options_.simulated_latency_scale > 0.0 && batch.latency_ms > 0) {

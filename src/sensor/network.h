@@ -118,6 +118,11 @@ class SensorNetwork {
   void ResetCounters();
 
  private:
+  /// Counts one probe of `id` and draws its outcome, success then
+  /// latency (the draw order every seed-fixed experiment pins). The
+  /// reading's value is left 0; callers fill it from value_fn_ outside
+  /// the RNG section.
+  ProbeResult DrawProbe(SensorId id) COLR_REQUIRES(rng_mutex_);
   TimeMs DrawLatency(bool success) COLR_REQUIRES(rng_mutex_);
 
   std::vector<SensorInfo> sensors_;

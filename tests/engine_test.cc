@@ -525,6 +525,7 @@ TEST(EngineProbeAccountingTest, QueryMixProducesNoProcessingSkew) {
 // call pattern of the leaf loop.
 TEST(EngineProbeDedupTest, OverlappingGroupsProbeEachSensorOnce) {
   ProbeDeduper dedup;
+  dedup.Begin(16);
   std::vector<SensorId> probed;
   for (SensorId sid : {1, 2, 3}) {
     if (dedup.Admit(sid)) probed.push_back(sid);

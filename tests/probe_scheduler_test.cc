@@ -54,7 +54,7 @@ TEST(ProbeSchedulerTest, SequentialCallsPassThroughVerbatim) {
   EXPECT_EQ(backend_batches[0], (std::vector<SensorId>{0, 1, 1, 2}));
   EXPECT_EQ(out.issued_ids, (std::vector<SensorId>{0, 1, 1, 2}));
   EXPECT_EQ(out.readings.size(), 4u);
-  EXPECT_EQ(out.issued_readings.size(), 4u);
+  EXPECT_EQ(out.issued_readings, 4u);
   EXPECT_EQ(out.requested, 4u);
   EXPECT_EQ(out.coalesced, 0u);
   EXPECT_EQ(out.reused, 0u);
@@ -149,7 +149,7 @@ TEST(ProbeSchedulerTest, LockstepStreamsShareOneFlight) {
       ++leaders;
     } else if (out.coalesced == 1) {
       EXPECT_TRUE(out.issued_ids.empty());
-      EXPECT_TRUE(out.issued_readings.empty());
+      EXPECT_EQ(out.issued_readings, 0u);
       ++joiners;
     }
   }
@@ -158,13 +158,108 @@ TEST(ProbeSchedulerTest, LockstepStreamsShareOneFlight) {
 }
 
 // A duplicated occurrence inside one call must NOT join its own
-// flight: the network deliberately probes every occurrence.
+// flight: the network deliberately probes every occurrence. The
+// sensor's published result is its last success (read back through
+// the reuse window), even when a later occurrence failed.
 TEST(ProbeSchedulerTest, DuplicateOccurrenceLeadsItsOwnProbe) {
   SimClock clock(0);
   std::vector<size_t> batch_sizes;
+  ProbeScheduler::Options opts;
+  opts.token_refill_ms = kMsPerMinute;
+  opts.reuse_window_ms = kMsPerMinute;
   ProbeScheduler sched(
       [&](const std::vector<SensorId>& ids) {
         batch_sizes.push_back(ids.size());
+        SensorNetwork::BatchResult res;
+        res.attempted = ids.size();
+        // The first two occurrences succeed, the rest fail.
+        for (size_t i = 0; i < ids.size() && i < 2; ++i) {
+          res.readings.push_back(MakeReading(ids[i], 0, 10.0 + i));
+        }
+        return res;
+      },
+      &clock, 4, opts);
+  ProbeScheduler::BatchOutcome out = sched.ProbeBatch({3, 3, 3});
+  ASSERT_EQ(batch_sizes.size(), 1u);
+  EXPECT_EQ(batch_sizes[0], 3u);
+  EXPECT_EQ(out.issued_ids.size(), 3u);
+  EXPECT_EQ(out.issued_readings, 2u);
+  EXPECT_EQ(out.coalesced, 0u);
+
+  // The token is spent: the next request reuses the published result.
+  out = sched.ProbeBatch({3});
+  EXPECT_EQ(batch_sizes.size(), 1u);
+  EXPECT_EQ(out.reused, 1u);
+  ASSERT_EQ(out.readings.size(), 1u);
+  EXPECT_DOUBLE_EQ(out.readings[0].value, 11.0);
+}
+
+// Duplicates from a *second* call join the open flight; they do not
+// lead. The per-call ticket is what tells "my flight" (a repeat that
+// leads, above) from "another call's flight". Stream A leads the hot
+// sensor and blocks in the backend; stream B then asks for it twice.
+TEST(ProbeSchedulerTest, DuplicatesFromASecondCallJoin) {
+  SimClock clock(0);
+  std::atomic<int> backend_calls{0};
+  std::atomic<bool> leader_in_backend{false};
+  ProbeScheduler* sched_ptr = nullptr;
+  ProbeScheduler sched(
+      [&](const std::vector<SensorId>& ids) {
+        backend_calls.fetch_add(1);
+        leader_in_backend.store(true);
+        // Hold A's flight open until both of B's occurrences joined it,
+        // or B issued a batch of its own (a failure, not a hang).
+        while (sched_ptr->stats().coalesced < 2 && backend_calls.load() < 2) {
+          std::this_thread::yield();
+        }
+        SensorNetwork::BatchResult res;
+        res.attempted = ids.size();
+        res.latency_ms = 250;
+        for (SensorId id : ids) {
+          res.readings.push_back(MakeReading(id, 0, 42.0));
+        }
+        return res;
+      },
+      &clock, /*num_sensors=*/4, ProbeScheduler::Options{});
+  sched_ptr = &sched;
+
+  constexpr SensorId kHot = 1;
+  ProbeScheduler::BatchOutcome a;
+  ProbeScheduler::BatchOutcome b;
+  testing::RunThreads(2, [&](int t) {
+    if (t == 0) {
+      a = sched.ProbeBatch({kHot});
+      return;
+    }
+    while (!leader_in_backend.load()) std::this_thread::yield();
+    b = sched.ProbeBatch({kHot, kHot});
+  });
+
+  EXPECT_EQ(backend_calls.load(), 1);
+  EXPECT_EQ(a.issued_ids, (std::vector<SensorId>{kHot}));
+  EXPECT_TRUE(b.issued_ids.empty());
+  EXPECT_EQ(b.coalesced, 2u);
+  ASSERT_EQ(b.readings.size(), 2u);
+  for (const Reading& r : b.readings) {
+    EXPECT_EQ(r.sensor, kHot);
+    EXPECT_DOUBLE_EQ(r.value, 42.0);
+  }
+  EXPECT_EQ(b.latency_ms, 250);
+  const ProbeScheduler::Stats stats = sched.stats();
+  EXPECT_EQ(stats.requested, 3);
+  EXPECT_EQ(stats.issued, 1);
+  EXPECT_EQ(stats.coalesced, 2);
+}
+
+// An id past the catalog is shed before classification: it never
+// reaches the backend nor indexes the per-sensor table, and
+// requested = issued + coalesced + reused + shed still holds.
+TEST(ProbeSchedulerTest, IdsOutsideTheCatalogAreShed) {
+  SimClock clock(0);
+  std::vector<std::vector<SensorId>> backend_batches;
+  ProbeScheduler sched(
+      [&](const std::vector<SensorId>& ids) {
+        backend_batches.push_back(ids);
         SensorNetwork::BatchResult res;
         res.attempted = ids.size();
         for (SensorId id : ids) {
@@ -172,12 +267,29 @@ TEST(ProbeSchedulerTest, DuplicateOccurrenceLeadsItsOwnProbe) {
         }
         return res;
       },
-      &clock, 4, ProbeScheduler::Options{});
-  ProbeScheduler::BatchOutcome out = sched.ProbeBatch({3, 3, 3});
-  ASSERT_EQ(batch_sizes.size(), 1u);
-  EXPECT_EQ(batch_sizes[0], 3u);
-  EXPECT_EQ(out.issued_ids.size(), 3u);
-  EXPECT_EQ(out.coalesced, 0u);
+      &clock, /*num_sensors=*/4, ProbeScheduler::Options{});
+
+  ProbeScheduler::BatchOutcome out = sched.ProbeBatch({1, 7});
+  ASSERT_EQ(backend_batches.size(), 1u);
+  EXPECT_EQ(backend_batches[0], (std::vector<SensorId>{1}));
+  EXPECT_EQ(out.issued_ids, (std::vector<SensorId>{1}));
+  EXPECT_EQ(out.shed, 1u);
+  ASSERT_EQ(out.readings.size(), 1u);
+  EXPECT_EQ(out.readings[0].sensor, 1u);
+
+  // Nothing in range: no backend call at all.
+  out = sched.ProbeBatch({4, kInvalidSensorId});
+  EXPECT_EQ(backend_batches.size(), 1u);
+  EXPECT_EQ(out.shed, 2u);
+  EXPECT_TRUE(out.readings.empty());
+
+  const ProbeScheduler::Stats stats = sched.stats();
+  EXPECT_EQ(stats.requested, 4);
+  EXPECT_EQ(stats.issued, 1);
+  EXPECT_EQ(stats.shed_admission, 3);
+  EXPECT_EQ(stats.requested,
+            stats.issued + stats.coalesced + stats.reused +
+                stats.shed_rate_limited + stats.shed_admission);
 }
 
 // ---------------------------------------------------------------------------

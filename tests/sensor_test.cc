@@ -132,6 +132,39 @@ TEST_F(SensorNetworkTest, BatchLatencyIsMaxOfProbes) {
   EXPECT_GE(batch.latency_ms, opts.probe_latency_base_ms);
 }
 
+// A sequential batch draws the same RNG stream as probing its ids one
+// at a time (success then latency, id by id), so batching cannot move
+// any seed-fixed result. Duplicates and an out-of-catalog id included.
+TEST_F(SensorNetworkTest, SequentialBatchDrawsTheSingleProbeStream) {
+  for (auto& s : sensors_) s.availability = 0.6;
+  SensorNetwork batched(sensors_, &clock_);
+  SensorNetwork single(sensors_, &clock_);
+  std::vector<SensorId> ids;
+  for (SensorId i = 0; i < 60; ++i) ids.push_back((i * 7) % 50);
+  ids.push_back(1000);
+  ids.push_back(3);
+  const SensorNetwork::BatchResult batch = batched.ProbeBatch(ids);
+
+  std::vector<Reading> expected;
+  TimeMs max_latency = 0;
+  for (SensorId id : ids) {
+    const SensorNetwork::ProbeResult r = single.Probe(id);
+    max_latency = std::max(max_latency, r.latency_ms);
+    if (r.success) expected.push_back(r.reading);
+  }
+  ASSERT_EQ(batch.readings.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(batch.readings[i].sensor, expected[i].sensor);
+    EXPECT_EQ(batch.readings[i].timestamp, expected[i].timestamp);
+    EXPECT_EQ(batch.readings[i].expiry, expected[i].expiry);
+    EXPECT_DOUBLE_EQ(batch.readings[i].value, expected[i].value);
+  }
+  EXPECT_EQ(batch.latency_ms, max_latency);
+  EXPECT_EQ(batched.counters().probes, single.counters().probes);
+  EXPECT_EQ(batched.counters().successes, single.counters().successes);
+  EXPECT_EQ(batched.per_sensor_probes(), single.per_sensor_probes());
+}
+
 TEST_F(SensorNetworkTest, FailedProbeCostsTimeout) {
   for (auto& s : sensors_) s.availability = 0.0;
   SensorNetwork::Options opts;

@@ -121,13 +121,17 @@ TEST(ColrTreeTest, SensorsUnderInRegion) {
   auto sensors = MakeSensors(300, 7);
   ColrTree tree(sensors, SmallTreeOptions());
   const Rect region = Rect::FromCorners(25, 25, 75, 75);
-  auto under_root = tree.SensorsUnderInRegion(tree.root(), region);
+  std::vector<SensorId> under_root;
+  tree.SensorsUnderInRegion(tree.root(), region, &under_root);
   std::set<SensorId> expected;
   for (const auto& s : sensors) {
     if (region.Contains(s.location)) expected.insert(s.id);
   }
   EXPECT_EQ(std::set<SensorId>(under_root.begin(), under_root.end()),
             expected);
+  // Appends: a caller can gather several nodes into one buffer.
+  tree.SensorsUnderInRegion(tree.root(), region, &under_root);
+  EXPECT_EQ(under_root.size(), 2 * expected.size());
 }
 
 // ---------------------------------------------------------------------------
