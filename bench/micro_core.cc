@@ -1,13 +1,12 @@
 // Microbenchmarks (google-benchmark) for COLR-Tree's primitive
 // operations — the ablation knobs behind the figure harnesses: slot
-// cache maintenance, reading-table eviction, cluster-tree / R-tree
-// construction, range search, layered sampling, and full engine
-// execution in each configuration.
+// cache maintenance, reading-table eviction, cluster-tree
+// construction, layered sampling, and full engine execution in each
+// configuration.
 
 #include <benchmark/benchmark.h>
 
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,7 +17,6 @@
 #include "core/sampling.h"
 #include "core/slot_cache.h"
 #include "core/tree.h"
-#include "rtree/rtree.h"
 #include "sensor/network.h"
 
 namespace colr {
@@ -127,52 +125,6 @@ void BM_ClusterTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterTreeBuild)->Arg(1000)->Arg(10000)->Arg(50000);
 
-void BM_RTreeBulkLoad(benchmark::State& state) {
-  auto sensors = BenchSensors(static_cast<int>(state.range(0)));
-  std::vector<std::pair<Rect, int64_t>> entries;
-  for (const auto& s : sensors) {
-    entries.push_back({Rect::FromPoint(s.location), s.id});
-  }
-  for (auto _ : state) {
-    RTree tree;
-    tree.BulkLoad(entries);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeBulkLoad)->Arg(10000)->Arg(100000);
-
-void BM_RTreeDynamicInsert(benchmark::State& state) {
-  Rng rng(5);
-  RTree tree;
-  for (auto _ : state) {
-    tree.Insert(
-        Rect::FromPoint({rng.Uniform(0, 100), rng.Uniform(0, 100)}),
-        static_cast<int64_t>(tree.size()));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RTreeDynamicInsert);
-
-void BM_RTreeRangeSearch(benchmark::State& state) {
-  auto sensors = BenchSensors(100000);
-  std::vector<std::pair<Rect, int64_t>> entries;
-  for (const auto& s : sensors) {
-    entries.push_back({Rect::FromPoint(s.location), s.id});
-  }
-  RTree tree;
-  tree.BulkLoad(entries);
-  Rng rng(6);
-  const double side = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    const double x = rng.Uniform(0, 100 - side);
-    const double y = rng.Uniform(0, 100 - side);
-    benchmark::DoNotOptimize(
-        tree.Search(Rect::FromCorners(x, y, x + side, y + side)));
-  }
-}
-BENCHMARK(BM_RTreeRangeSearch)->Arg(1)->Arg(10)->Arg(50);
-
 // ---------------------------------------------------------------------------
 // Sampling & engine
 // ---------------------------------------------------------------------------
@@ -229,27 +181,29 @@ BENCHMARK(BM_EngineQuery)
     ->Arg(static_cast<int>(ColrEngine::Mode::kColr));
 
 // ---------------------------------------------------------------------------
-// Sync-stats overhead pair: an uncontended SpinMutex round-trip
-// through a plain guard vs. through the instrumented SyncTimedLock
-// with stats disabled. scripts/check.sh compares the two — the
-// disabled guard is a relaxed bool load plus the same lock()/unlock(),
-// so the pair must stay within noise of each other.
+// Sync-stats overhead pairs: an uncontended round-trip through a plain
+// guard vs. through the site-naming MutexLock with stats disabled, over
+// a SpinMutex (the tree's root spin) and a Mutex (the serving path's
+// pool, server, transport and network locks). scripts/check.sh
+// compares each pair — the disabled guard is a relaxed bool load plus
+// the same lock()/unlock(), so a pair must stay within noise.
 // ---------------------------------------------------------------------------
 
-void BM_SpinMutexPlainGuard(benchmark::State& state) {
-  SpinMutex mu;
+template <typename M>
+void PlainGuard(benchmark::State& state) {
+  M mu;
   int64_t x = 0;
   for (auto _ : state) {
     // This IS the plain-guard baseline the overhead smoke compares
-    // SyncTimedLock against. colr-lint: allow(raw-lock)
-    std::lock_guard<SpinMutex> lock(mu);
+    // the site-naming guard against. colr-lint: allow(raw-lock)
+    std::lock_guard<M> lock(mu);
     benchmark::DoNotOptimize(++x);
   }
 }
-BENCHMARK(BM_SpinMutexPlainGuard);
 
-void BM_SpinMutexSyncTimedLockDisabled(benchmark::State& state) {
-  SpinMutex mu;
+template <typename M, SyncSite kSite>
+void SiteGuardStatsOff(benchmark::State& state) {
+  M mu;
   int64_t x = 0;
   if (SyncStatsEnabled()) {
     state.SkipWithError("COLR_SYNC_STATS is set; overhead pair "
@@ -257,11 +211,30 @@ void BM_SpinMutexSyncTimedLockDisabled(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    SyncTimedLock<SpinMutex> lock(mu, SyncSite::kRootSpin);
+    MutexLock lock(mu, kSite);
     benchmark::DoNotOptimize(++x);
   }
 }
-BENCHMARK(BM_SpinMutexSyncTimedLockDisabled);
+
+void BM_SpinMutexPlainGuard(benchmark::State& state) {
+  PlainGuard<SpinMutex>(state);
+}
+BENCHMARK(BM_SpinMutexPlainGuard);
+
+void BM_SpinMutexSiteGuardStatsOff(benchmark::State& state) {
+  SiteGuardStatsOff<SpinMutex, SyncSite::kRootSpin>(state);
+}
+BENCHMARK(BM_SpinMutexSiteGuardStatsOff);
+
+void BM_MutexPlainGuard(benchmark::State& state) {
+  PlainGuard<Mutex>(state);
+}
+BENCHMARK(BM_MutexPlainGuard);
+
+void BM_MutexSiteGuardStatsOff(benchmark::State& state) {
+  SiteGuardStatsOff<Mutex, SyncSite::kPoolQueue>(state);
+}
+BENCHMARK(BM_MutexSiteGuardStatsOff);
 
 void BM_ColrTreeInsertReading(benchmark::State& state) {
   SimClock clock(0);

@@ -147,13 +147,13 @@ int Main(int argc, char** argv) {
                r.maintenance.late_readings_dropped.load())
         .Field("slot_recomputes", r.maintenance.slot_recomputes.load())
         .Field("rolls_per_tmax", r.rolls_per_tmax);
-    // Per-run lock-contention deltas ride inside the maintenance
-    // counters; stats disabled -> empty block -> no "sync" field.
-    const std::string sync_json = SyncStatsJsonBlock(r.maintenance.sync);
+    // Per-run lock-contention deltas; stats disabled -> empty block
+    // -> no "sync" field.
+    const std::string sync_json = SyncStatsJsonBlock(r.sync);
     if (!sync_json.empty()) row.Nested("sync", sync_json);
     json_rows.push_back(row.Done());
-    if (r.maintenance.sync.enabled) {
-      std::printf("  %s\n", SyncStatsSummaryLine(r.maintenance.sync).c_str());
+    if (r.sync.enabled) {
+      std::printf("  %s\n", SyncStatsSummaryLine(r.sync).c_str());
     }
     if (r.errors > 0) {
       std::fprintf(stderr, "streams=%d: %lld errors\n", streams,

@@ -55,9 +55,12 @@ echo "== deadlock: build with the lock-order detector armed =="
 # against the acquired-after DAG in src/common/lock_order.inc. The
 # deadlock_test death tests (skipped elsewhere) arm here and prove a
 # seeded inversion/undeclared edge/recursion actually aborts.
+# Sync stats are on for this leg: recording takes the registry lock
+# while the site's own lock is held, so every site's declared edge to
+# kStatsRegistry is exercised.
 cmake -B build-deadlock -S . -DCOLR_DEADLOCK_CHECK=ON >/dev/null
 cmake --build build-deadlock -j "$jobs"
-(cd build-deadlock && ctest -L 'tsan|stress|net|static' \
+(cd build-deadlock && COLR_SYNC_STATS=1 ctest -L 'tsan|stress|net|static' \
   --output-on-failure -j "$jobs")
 
 echo "== static: project lint =="
@@ -175,15 +178,17 @@ print("net smoke OK")
 EOF
 
 echo "== sync-stats: disabled-path overhead smoke =="
-# The instrumented guard with stats disabled is a relaxed load plus
-# the plain lock; it must stay within 2x of the bare guard (generous —
-# both are single-digit ns and the bound only catches a accidentally
-# always-on instrumentation path). This build also has the deadlock
+# The site-naming guard with stats disabled is a relaxed load plus the
+# plain lock; it must stay within 2x of the bare guard (generous —
+# both are single-digit ns and the bound only catches an accidentally
+# always-on instrumentation path). Two pairs: a SpinMutex (the tree's
+# root spin) and a Mutex (the lock type of the pool, server, transport,
+# engine, network and replay sites). This build also has the deadlock
 # detector compiled out (COLR_DEADLOCK_CHECK=OFF is the default), so
 # the same bound doubles as the no-cost proof for the disabled
 # LockRankTag hooks in every ranked lock.
 env -u COLR_SYNC_STATS ./build/bench/micro_core \
-  --benchmark_filter='SpinMutex' \
+  --benchmark_filter='Mutex(PlainGuard|SiteGuardStatsOff)' \
   --benchmark_min_time=0.2 --benchmark_format=json \
   >/tmp/colr_sync_overhead.json
 python3 - <<'EOF'
@@ -191,13 +196,14 @@ import json
 with open('/tmp/colr_sync_overhead.json') as f:
     report = json.load(f)
 times = {b['name']: b['cpu_time'] for b in report['benchmarks']}
-plain = times['BM_SpinMutexPlainGuard']
-instrumented = times['BM_SpinMutexSyncTimedLockDisabled']
-print(f"plain guard: {plain:.2f} ns, "
-      f"SyncTimedLock(disabled): {instrumented:.2f} ns")
-assert instrumented <= 2.0 * plain + 2.0, (
-    f"disabled sync-stats guard too slow: {instrumented:.2f} ns "
-    f"vs plain {plain:.2f} ns")
+for lock in ('SpinMutex', 'Mutex'):
+    plain = times[f'BM_{lock}PlainGuard']
+    guarded = times[f'BM_{lock}SiteGuardStatsOff']
+    print(f"{lock}: plain guard {plain:.2f} ns, "
+          f"site-naming MutexLock (stats off) {guarded:.2f} ns")
+    assert guarded <= 2.0 * plain + 2.0, (
+        f"disabled sync-stats guard too slow over {lock}: "
+        f"{guarded:.2f} ns vs plain {plain:.2f} ns")
 print("overhead smoke OK")
 EOF
 

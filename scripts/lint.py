@@ -54,18 +54,18 @@ two to the deadlock-freedom contract of DESIGN.md §10:
                     harness and the sanitizer legs.
 
   lock-order        src/ only. Every guard declaration (MutexLock,
-                    SharedMutexReaderLock, SyncTimedLock,
-                    SyncTimedSharedLock) must name its SyncSite, and
-                    every statically nested pair of guard scopes in one
-                    function must be a declared acquired-after edge of
-                    the lock-order DAG in src/common/lock_order.inc —
-                    the same table the runtime detector
-                    (common/deadlock.h) enforces. A nesting whose
-                    reverse is reachable in the declared DAG is
-                    reported as an inversion; anything else off-table
-                    as an undeclared edge. Skipped entirely when the
-                    tree has no lock_order.inc (the self-test's
-                    throwaway trees seed their own).
+                    ReaderLock) must name its SyncSite — the site it
+                    is rank-checked against and records its contention
+                    counters under — and every statically nested pair
+                    of guard scopes in one function must be a declared
+                    acquired-after edge of the lock-order DAG in
+                    src/common/lock_order.inc — the same table the
+                    runtime detector (common/deadlock.h) enforces. A
+                    nesting whose reverse is reachable in the declared
+                    DAG is reported as an inversion; anything else
+                    off-table as an undeclared edge. Skipped entirely
+                    when the tree has no lock_order.inc (the
+                    self-test's throwaway trees seed their own).
 
   layering          src/<module>/ may #include "dep/..." only for the
                     modules below it in the architecture DAG (common at
@@ -156,15 +156,14 @@ LAYERING_DEPS = {
 LOCAL_INCLUDE_RE = re.compile(r'#\s*include\s*"(\w+)/')
 
 # --- lock-order ----------------------------------------------------------
-# Guard-scope extraction: a declaration of one of the four RAII guard
+# Guard-scope extraction: a declaration of one of the two RAII guard
 # types introducing a named local (`MutexLock lock(...)`,
-# `SyncTimedLock<EpochLatch> epoch_lock(...)`). The definitions of the
-# guard classes themselves (constructors, `= delete` lines) never put
-# an identifier between the type name and the open paren, so they do
-# not match.
+# `ReaderLock<EpochLatch> epoch_lock(...)`; the template argument is
+# usually deduced). The definitions of the guard classes themselves
+# (constructors, `= delete` lines) never put an identifier between the
+# type name and the open paren, so they do not match.
 GUARD_RE = re.compile(
-    r"\b(?:SyncTimedLock|SyncTimedSharedLock)\s*<[^;>()]*>\s+\w+\s*\("
-    r"|\b(?:MutexLock|SharedMutexReaderLock)\s+\w+\s*\(")
+    r"\b(?:MutexLock|ReaderLock)\s*(?:<[^;>()]*>)?\s+\w+\s*\(")
 GUARD_SITE_RE = re.compile(r"\bSyncSite\s*::\s*(k\w+)")
 LOCK_ORDER_INC = os.path.join("src", "common", "lock_order.inc")
 SITE_DECL_RE = re.compile(

@@ -163,8 +163,8 @@ SEEDED = {
     os.path.join("src", "core", "good_lock_order.cc"): (
         "void ok(Mutex& a, SharedMutex& b) {\n"
         "  MutexLock hold_a(a, SyncSite::kAaa);\n"
-        "  SyncTimedLock<SharedMutex> hold_b(b,\n"
-        "                                    SyncSite::kBbb);\n"
+        "  ReaderLock<SharedMutex> hold_b(b,\n"
+        "                                 SyncSite::kBbb);\n"
         "}\n"
     ),
     # Waived inversion: must NOT be reported.

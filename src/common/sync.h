@@ -2,6 +2,7 @@
 #define COLR_COMMON_SYNC_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -10,24 +11,27 @@
 
 #include "common/deadlock.h"
 #include "common/lock_rank.h"
+#include "common/sync_stats.h"
 #include "common/thread_annotations.h"
 
 namespace colr {
 
-// The lock primitives below are deliberately plain Lockable /
-// SharedLockable types; contention observability lives one layer up in
-// sync_stats.h (SyncTimedLock / SyncTimedSharedLock wrap any of them
-// with per-site acquisition/wait counters that compile down to the
-// plain lock when disabled). Instrumented call sites name a SyncSite;
-// the primitives stay measurement-free so uninstrumented users pay
-// nothing.
+// The lock primitives below are plain Lockable / SharedLockable types,
+// and one guard pair takes every lock: MutexLock<M> (exclusive) and
+// ReaderLock<M> (shared), deduced from their argument. A guard that
+// names its SyncSite — `MutexLock lock(mu, SyncSite::kPoolQueue)` —
+// checks the site against the lock's rank when the build arms
+// COLR_DEADLOCK_CHECK and feeds that site's contention counters
+// (sync_stats.h) when recording is on; with recording off it costs one
+// relaxed load plus the plain lock(). The siteless form is for the
+// unranked locks of benches and tests and never records.
 //
 // Every primitive is an annotated Clang Thread Safety capability
 // (thread_annotations.h), and these wrappers are the only lock
 // vocabulary the engine uses: scripts/lint.py bans the raw std::
-// mutex/lock types outside src/common/, so every lock site is (a)
-// visible to the static analysis and (b) reachable by the sync-stats
-// instrumentation layer.
+// mutex/lock types outside src/common/ and requires every guard under
+// src/ to name its site, so every lock site is (a) visible to the
+// static analysis and (b) recorded by the sync-stats counters.
 //
 // Each primitive additionally carries a LockRankTag (common/
 // deadlock.h): construct it with the SyncSite it serves and every
@@ -116,51 +120,6 @@ class COLR_CAPABILITY("shared_mutex") SharedMutex {
  private:
   std::shared_mutex mu_;
   COLR_NO_UNIQUE_ADDRESS LockRankTag rank_;
-};
-
-/// RAII exclusive guard over Mutex (the annotated sibling of
-/// std::lock_guard for uninstrumented sites; protocol lock sites with
-/// a SyncSite use SyncTimedLock instead).
-class COLR_SCOPED_CAPABILITY MutexLock {
- public:
-  explicit MutexLock(Mutex& mu) COLR_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  /// Site-naming form: what the static lock-order lint reads at the
-  /// call site. The named site must match the mutex's constructed rank
-  /// (checked when the detector is armed, so the annotation cannot
-  /// drift from the lock it guards).
-  MutexLock(Mutex& mu, SyncSite site) COLR_ACQUIRE(mu) : mu_(mu) {
-    mu_.AssertRankIs(site);
-    mu_.lock();
-  }
-  ~MutexLock() COLR_RELEASE() { mu_.unlock(); }
-
-  MutexLock(const MutexLock&) = delete;
-  MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  Mutex& mu_;
-};
-
-/// RAII shared guard over SharedMutex.
-class COLR_SCOPED_CAPABILITY SharedMutexReaderLock {
- public:
-  explicit SharedMutexReaderLock(SharedMutex& mu) COLR_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.lock_shared();
-  }
-  SharedMutexReaderLock(SharedMutex& mu, SyncSite site)
-      COLR_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.AssertRankIs(site);
-    mu_.lock_shared();
-  }
-  ~SharedMutexReaderLock() COLR_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  SharedMutexReaderLock(const SharedMutexReaderLock&) = delete;
-  SharedMutexReaderLock& operator=(const SharedMutexReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Striped (sharded) lock table: maps an integer key (node id, sensor
@@ -280,9 +239,8 @@ class COLR_CAPABILITY("EpochLatch") EpochLatch {
     return true;
   }
 
-  /// Accepts either side's site: SyncTimedLock names the exclusive
-  /// site, SyncTimedSharedLock the shared one, and both guard types
-  /// cross-check here.
+  /// Accepts either side's site: MutexLock names the exclusive site,
+  /// ReaderLock the shared one, and both guards cross-check here.
   void AssertRankIs(SyncSite site) const {
     // One of the two must match; an unranked latch accepts anything.
     if (exclusive_rank_.MatchesExactly(site) ||
@@ -381,6 +339,81 @@ class COLR_CAPABILITY("SpinMutex") SpinMutex {
   static constexpr int kSpinLimit = 128;
   std::atomic<bool> locked_{false};
   COLR_NO_UNIQUE_ADDRESS LockRankTag rank_;
+};
+
+namespace sync_internal {
+inline int64_t WaitNs(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+}  // namespace sync_internal
+
+/// RAII exclusive guard over any annotated Lockable (Mutex, SpinMutex,
+/// SharedMutex, EpochLatch's exclusive side). The site-naming form is
+/// the one every lock under src/ uses:
+///   - the named site must be the lock's constructed rank (checked
+///     when the detector is armed, so the site the lint reads at the
+///     call site cannot drift from the lock it guards);
+///   - recording off: one relaxed load, then the plain lock();
+///   - recording on: a try_lock that succeeds records an uncontended
+///     acquisition; a miss times the blocking lock() and records the
+///     wait.
+/// kStatsRegistry never records: a thread's first record registers its
+/// stats block under that very lock. `site` is a constant at every
+/// call site, so the exemption folds away.
+template <typename M>
+class COLR_SCOPED_CAPABILITY MutexLock {
+ public:
+  /// Unranked locks of benches and tests: never records.
+  explicit MutexLock(M& mu) COLR_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  MutexLock(M& mu, SyncSite site) COLR_ACQUIRE(mu) : mu_(mu) {
+    mu_.AssertRankIs(site);
+    if (site == SyncSite::kStatsRegistry || !SyncStatsEnabled()) {
+      mu_.lock();
+    } else if (mu_.try_lock()) {
+      SyncStatsRecord(site, false, 0);
+    } else {
+      const auto start = std::chrono::steady_clock::now();
+      mu_.lock();
+      SyncStatsRecord(site, true, sync_internal::WaitNs(start));
+    }
+  }
+  ~MutexLock() COLR_RELEASE() { mu_.unlock(); }
+
+  MutexLock(const MutexLock&) = delete;
+  MutexLock& operator=(const MutexLock&) = delete;
+
+ private:
+  M& mu_;
+};
+
+/// Shared-side counterpart over SharedLockable capabilities
+/// (SharedMutex, EpochLatch's shared side), with the site-naming
+/// form's checks and costs (the registry's lock is a plain Mutex, so
+/// no exemption here).
+template <typename M>
+class COLR_SCOPED_CAPABILITY ReaderLock {
+ public:
+  ReaderLock(M& mu, SyncSite site) COLR_ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_.AssertRankIs(site);
+    if (!SyncStatsEnabled()) {
+      mu_.lock_shared();
+    } else if (mu_.try_lock_shared()) {
+      SyncStatsRecord(site, false, 0);
+    } else {
+      const auto start = std::chrono::steady_clock::now();
+      mu_.lock_shared();
+      SyncStatsRecord(site, true, sync_internal::WaitNs(start));
+    }
+  }
+  ~ReaderLock() COLR_RELEASE_SHARED() { mu_.unlock_shared(); }
+
+  ReaderLock(const ReaderLock&) = delete;
+  ReaderLock& operator=(const ReaderLock&) = delete;
+
+ private:
+  M& mu_;
 };
 
 /// Copyable atomic counter. std::atomic is neither copyable nor

@@ -3,28 +3,29 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "common/lock_rank.h"
-#include "common/thread_annotations.h"
 
 namespace colr {
 
 /// Contention instrumentation for the lock hierarchy in sync.h
 /// (DESIGN.md §6 "Sync-stats model"). Every named lock *site* — a
-/// (lock, acquisition-mode) pair in ColrTree's write protocol — gets
-/// per-site counters: acquisitions, contended acquisitions (the fast
-/// try_lock missed), total and max wait nanoseconds, plus a coarse
-/// log2 wait histogram. The counters answer the question qps alone
-/// cannot: *which* lock burns the time when writer scaling flattens.
+/// (lock, acquisition-mode) pair from lock_order.inc — gets per-site
+/// counters: acquisitions, contended acquisitions (the fast try_lock
+/// missed), total and max wait nanoseconds, plus a coarse log2 wait
+/// histogram. The counters answer the question qps alone cannot:
+/// *which* lock burns the time when scaling flattens. The guards in
+/// sync.h (MutexLock / ReaderLock) record every site except
+/// kStatsRegistry, the registry's own lock.
 ///
-/// Cost model: recording is off by default and the guards below
-/// compile down to a relaxed load + branch around a plain lock(), so
-/// the disabled path is indistinguishable from using std::lock_guard
-/// directly (the overhead smoke check in scripts/check.sh pins this).
-/// Enable per process via SyncStatsRegistry::Enable() or the
-/// COLR_SYNC_STATS=1 environment variable.
+/// Cost model: recording is off by default and a site-naming guard
+/// then compiles down to a relaxed load + branch around a plain
+/// lock(), so the disabled path is indistinguishable from using
+/// std::lock_guard directly (the overhead smoke check in
+/// scripts/check.sh pins this). Enable per process via
+/// SyncStatsRegistry::Enable() or the COLR_SYNC_STATS=1 environment
+/// variable.
 ///
 /// Collection protocol: each recording thread owns a registered block
 /// of per-site accumulators and is the only writer to it (relaxed
@@ -34,7 +35,7 @@ namespace colr {
 /// registry's retired accumulator by its thread-local holder's
 /// destructor). Totals are exact whenever no thread is mid-record —
 /// in particular at the quiescent points where benches and
-/// MaintenanceSnapshot() read them.
+/// replay::RunTimedReplay read them.
 
 // SyncSite itself (plus kNumSyncSites and SyncSiteName) moved to
 // common/lock_rank.h: the sites double as lock ranks for the deadlock
@@ -74,7 +75,7 @@ struct SyncStatsSnapshot {
 };
 
 /// Per-site difference after - before (counters are cumulative per
-/// process; benches and MaintenanceSnapshot() report per-run deltas).
+/// process; benches and timed replays report per-run deltas).
 SyncStatsSnapshot SyncStatsDelta(const SyncStatsSnapshot& after,
                                  const SyncStatsSnapshot& before);
 
@@ -84,7 +85,7 @@ namespace sync_internal {
 extern std::atomic<bool> g_sync_stats_enabled;
 }  // namespace sync_internal
 
-/// Hot-path guard read by every instrumented lock site.
+/// Hot-path check read by every site-naming guard.
 inline bool SyncStatsEnabled() {
   return sync_internal::g_sync_stats_enabled.load(std::memory_order_relaxed);
 }
@@ -119,75 +120,6 @@ class SyncStatsRegistry {
   static void AccumulateBlock(SyncSiteStats* out, const ThreadBlock& block);
 
   Impl* const impl_;  // leaked with the registry
-};
-
-/// RAII guard: lock() with contention timing. Disabled → exactly
-/// std::lock_guard. Enabled → try_lock fast path records an
-/// uncontended acquisition; on miss, times the blocking lock() with
-/// steady_clock and records the wait. Works with any annotated
-/// Lockable capability (SpinMutex, EpochLatch exclusive side,
-/// SharedMutex unique side). A scoped capability: under
-/// -Wthread-safety the guarded scope counts as holding `mu`
-/// exclusively.
-template <typename Mutex>
-class COLR_SCOPED_CAPABILITY SyncTimedLock {
- public:
-  SyncTimedLock(Mutex& mu, SyncSite site) COLR_ACQUIRE(mu) : mu_(mu) {
-    mu_.AssertRankIs(site);  // the named site must be the lock's rank
-    if (!SyncStatsEnabled()) {
-      mu_.lock();
-      return;
-    }
-    if (mu_.try_lock()) {
-      SyncStatsRecord(site, false, 0);
-      return;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    mu_.lock();
-    const auto wait = std::chrono::steady_clock::now() - start;
-    SyncStatsRecord(
-        site, true,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(wait).count());
-  }
-  ~SyncTimedLock() COLR_RELEASE() { mu_.unlock(); }
-
-  SyncTimedLock(const SyncTimedLock&) = delete;
-  SyncTimedLock& operator=(const SyncTimedLock&) = delete;
-
- private:
-  Mutex& mu_;
-};
-
-/// Shared-side counterpart for SharedLockable capabilities (EpochLatch
-/// shared side, SharedMutex shared side).
-template <typename Mutex>
-class COLR_SCOPED_CAPABILITY SyncTimedSharedLock {
- public:
-  SyncTimedSharedLock(Mutex& mu, SyncSite site) COLR_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.AssertRankIs(site);
-    if (!SyncStatsEnabled()) {
-      mu_.lock_shared();
-      return;
-    }
-    if (mu_.try_lock_shared()) {
-      SyncStatsRecord(site, false, 0);
-      return;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    mu_.lock_shared();
-    const auto wait = std::chrono::steady_clock::now() - start;
-    SyncStatsRecord(
-        site, true,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(wait).count());
-  }
-  ~SyncTimedSharedLock() COLR_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  SyncTimedSharedLock(const SyncTimedSharedLock&) = delete;
-  SyncTimedSharedLock& operator=(const SyncTimedSharedLock&) = delete;
-
- private:
-  Mutex& mu_;
 };
 
 }  // namespace colr

@@ -220,13 +220,12 @@ QueryResult ColrEngine::ExecuteColr(const Query& query, TimeMs now,
     // Instrumentation + cache bookkeeping. LookupCache copied the used
     // readings out under the leaf's node stripe (cached_readings), so
     // no reading-table pointers are dereferenced here.
-    for (size_t i = 0; i < t.cached_sensors.size(); ++i) {
-      const Reading& r = t.cached_readings[i];
+    for (const Reading& r : t.cached_readings) {
       if (query.return_readings) {
         result.served_from_cache.push_back(r);
       }
       AddToHistogram(query, r.value, &g);
-      tree_->TouchCached(t.cached_sensors[i]);
+      tree_->TouchCached(r.sensor);
     }
     result.stats.cache_readings_used +=
         t.node_id >= 0 && tree_->node(t.node_id).IsLeaf() ? t.cached_count
@@ -364,15 +363,14 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
             id, now, query.staleness_ms, partial ? &filter : nullptr,
             ColrTree::FreshnessRule::kSlotAligned);
         int64_t served = 0;
-        for (size_t i = 0; i < lookup.used_sensors.size(); ++i) {
-          const SensorId sid = lookup.used_sensors[i];
+        for (const Reading& cached_reading : lookup.used_readings) {
+          const SensorId sid = cached_reading.sensor;
           if (query.region.polygon &&
               !query.region.Contains(tree_->sensor(sid).location)) {
             continue;
           }
           ++served;
           dedup.MarkServed(sid);
-          const Reading& cached_reading = lookup.used_readings[i];
           g.agg.Add(cached_reading.value);
           AddToHistogram(query, cached_reading.value, &g);
           touched.push_back(sid);

@@ -85,7 +85,7 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
       continue;
     }
     Stripe& st = StripeFor(sid);
-    SyncTimedLock<Mutex> lock(st.mu, SyncSite::kProbeFlight);
+    MutexLock lock(st.mu, SyncSite::kProbeFlight);
     SensorState& s = states_[static_cast<size_t>(sid)];
     if (s.flight_ticket == ticket) {
       if (!ReserveOutstanding()) {
@@ -151,7 +151,7 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
                       batch.readings[next].sensor == sid;
       if (ok) ++next;
       Stripe& st = StripeFor(sid);
-      SyncTimedLock<Mutex> lock(st.mu, SyncSite::kProbeFlight);
+      MutexLock lock(st.mu, SyncSite::kProbeFlight);
       SensorState& s = states_[static_cast<size_t>(sid)];
       if (ok) s.staged_reading = static_cast<uint32_t>(next);
       if (--s.pending_occurrences > 0) continue;
@@ -173,7 +173,7 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
   // Phase 3 — wait out the flights we joined and share their results.
   for (const Join& j : joins) {
     Stripe& st = StripeFor(j.sid);
-    SyncTimedLock<Mutex> lock(st.mu, SyncSite::kProbeFlight);
+    MutexLock lock(st.mu, SyncSite::kProbeFlight);
     SensorState& s = states_[static_cast<size_t>(j.sid)];
     if (s.flights_done <= j.flights_before) {
       ++st.waiters;

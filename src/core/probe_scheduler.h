@@ -11,7 +11,6 @@
 
 #include "common/clock.h"
 #include "common/sync.h"
-#include "common/sync_stats.h"
 #include "common/thread_annotations.h"
 #include "sensor/network.h"
 

@@ -166,19 +166,16 @@ class Runner {
         // reading-table pointers are dereferenced here).
         if (region_.polygon) {
           ColrTree::CacheLookup refined;
-          for (size_t i = 0; i < lookup.used_sensors.size(); ++i) {
-            const SensorId sid = lookup.used_sensors[i];
-            if (region_.Contains(tree_.sensor(sid).location)) {
-              refined.agg.Add(lookup.used_readings[i].value);
-              refined.used_sensors.push_back(sid);
-              refined.used_readings.push_back(lookup.used_readings[i]);
+          for (const Reading& r : lookup.used_readings) {
+            if (region_.Contains(tree_.sensor(r.sensor).location)) {
+              refined.agg.Add(r.value);
+              refined.used_readings.push_back(r);
             }
           }
           lookup = std::move(refined);
         }
         t.cached_agg = lookup.agg;
         t.cached_count = lookup.agg.count;
-        t.cached_sensors = std::move(lookup.used_sensors);
         t.cached_readings = std::move(lookup.used_readings);
       } else {
         ColrTree::CacheLookup lookup =
@@ -247,8 +244,11 @@ class Runner {
       if (options_.use_cache) {
         if (n.IsLeaf()) {
           // Exclude the exact set the leaf lookup used.
-          if (std::find(t.cached_sensors.begin(), t.cached_sensors.end(),
-                        sid) != t.cached_sensors.end()) {
+          const auto used = [sid](const Reading& r) {
+            return r.sensor == sid;
+          };
+          if (std::any_of(t.cached_readings.begin(), t.cached_readings.end(),
+                          used)) {
             continue;
           }
         } else {

@@ -52,12 +52,10 @@ class LayeredSampler {
     Aggregate cached_agg;
     int64_t cached_count = 0;
     int cached_slots_merged = 0;
-    /// Leaf terminals: sensors whose cached readings were used (for
-    /// LRF touch accounting).
-    std::vector<SensorId> cached_sensors;
-    /// The used readings themselves, aligned with cached_sensors —
-    /// copied out under the leaf's node stripe so the engine never
-    /// dereferences reading-table pointers on the query path.
+    /// Leaf terminals: the cached readings used (their sensors get the
+    /// LRF touch) — copied out under the leaf's node stripe so the
+    /// engine never dereferences reading-table pointers on the query
+    /// path.
     std::vector<Reading> cached_readings;
   };
 

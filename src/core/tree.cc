@@ -210,8 +210,7 @@ void ColrTree::AdvanceTo(TimeMs now) {
   // Lock-free fast path: the head only moves forward, so a stale read
   // at worst defers the roll to the next advance.
   if (needed <= scheme_.newest()) return;
-  SyncTimedLock<EpochLatch> epoch_lock(epoch_latch_,
-                                       SyncSite::kEpochExclusive);
+  MutexLock epoch_lock(epoch_latch_, SyncSite::kEpochExclusive);
   RollWindowLocked(needed);
 }
 
@@ -221,21 +220,13 @@ void ColrTree::TouchCached(SensorId sensor) {
   if (leaf < 0) return;
   // LRF links follow the writer protocol: shared epoch (so
   // rolls/expunges see quiesced partitions) + the sensor's shard lock.
-  SyncTimedSharedLock<EpochLatch> epoch_lock(epoch_latch_,
-                                             SyncSite::kEpochShared);
-  SyncTimedLock<SharedMutex> shard_lock(shard_mutex_.For(ShardOf(leaf)),
-                                              SyncSite::kShardWriter);
+  ReaderLock epoch_lock(epoch_latch_, SyncSite::kEpochShared);
+  MutexLock shard_lock(shard_mutex_.For(ShardOf(leaf)), SyncSite::kShardWriter);
   table_.Touch(PartitionOf(leaf), scheme_, key_of_sensor_[sensor]);
 }
 
 size_t ColrTree::CachedReadingCount() const {
   return cached_total_.load(std::memory_order_acquire);
-}
-
-ColrTree::MaintenanceCounters ColrTree::MaintenanceSnapshot() const {
-  MaintenanceCounters snap = maintenance_;
-  snap.sync = SyncStatsRegistry::Instance().Snapshot();
-  return snap;
 }
 
 std::vector<ColrTree::ShardOccupancy> ColrTree::ShardOccupancies() const {
@@ -244,11 +235,10 @@ std::vector<ColrTree::ShardOccupancy> ColrTree::ShardOccupancies() const {
   // Shared epoch: expunges walk the partitions without shard locks
   // under the exclusive side, so the stripe alone would not exclude
   // them.
-  SyncTimedSharedLock<EpochLatch> epoch_lock(epoch_latch_,
-                                             SyncSite::kEpochShared);
+  ReaderLock epoch_lock(epoch_latch_, SyncSite::kEpochShared);
   for (size_t p = 0; p < table_.num_partitions(); ++p) {
-    SyncTimedSharedLock<SharedMutex> shard_lock(
-        shard_mutex_.For(shard_node_of_partition_[p]), SyncSite::kShardWriter);
+    ReaderLock shard_lock(shard_mutex_.For(shard_node_of_partition_[p]),
+                          SyncSite::kShardWriter);
     out.push_back({shard_node_of_partition_[p], table_.size(p),
                    table_.OccupiedSlots(p)});
   }
@@ -265,16 +255,14 @@ void ColrTree::InsertReading(const Reading& reading) {
     // (no writer holds its shared side), keeping the expunge cascade
     // serialized exactly as before. Rare: at most one insert per slot
     // width pays this.
-    SyncTimedLock<EpochLatch> epoch_lock(epoch_latch_,
-                                         SyncSite::kEpochExclusive);
+    MutexLock epoch_lock(epoch_latch_, SyncSite::kEpochExclusive);
     RollWindowLocked(slot);
   }
 
   // Shared epoch: the window head is frozen for the rest of the
   // insert (rolls need the exclusive side), so every InWindow /
   // oldest() test below is stable.
-  SyncTimedSharedLock<EpochLatch> epoch_lock(epoch_latch_,
-                                             SyncSite::kEpochShared);
+  ReaderLock epoch_lock(epoch_latch_, SyncSite::kEpochShared);
   if (slot < scheme_.oldest()) {
     // Late arrival: the reading's expiry slot slid out of the window
     // before this insert pinned the epoch (the roll above only moves
@@ -295,8 +283,8 @@ void ColrTree::InsertReading(const Reading& reading) {
     // leaf's shard lock; inserts into other shards proceed in
     // parallel. The lock serializes every writer of this partition,
     // so the sensor's entry is read here without its node stripe.
-    SyncTimedLock<SharedMutex> shard_lock(
-        shard_mutex_.For(ShardOf(leaf)), SyncSite::kShardWriter);
+    MutexLock shard_lock(shard_mutex_.For(ShardOf(leaf)),
+                         SyncSite::kShardWriter);
 
     // Replacement: remove the old reading from the table and the
     // aggregates *before* the new one lands in either, so that a
@@ -307,8 +295,7 @@ void ColrTree::InsertReading(const Reading& reading) {
     if (replaced) {
       const Reading old = *cached;
       {
-        SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
-                                             SyncSite::kNodeStripe);
+        MutexLock node_lock(node_mutex_.For(leaf), SyncSite::kNodeStripe);
         table_.Erase(partition, scheme_, key);
       }
       const SlotId old_slot = scheme_.SlotOf(old.expiry);
@@ -320,8 +307,7 @@ void ColrTree::InsertReading(const Reading& reading) {
     }
 
     {
-      SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
-                                           SyncSite::kNodeStripe);
+      MutexLock node_lock(node_mutex_.For(leaf), SyncSite::kNodeStripe);
       table_.Insert(partition, scheme_, key, reading);
       if (!replaced) cached_keys_[static_cast<size_t>(leaf)].push_back(key);
     }
@@ -353,9 +339,8 @@ void ColrTree::EnforceCacheCapacity(ReadingTable::Key protect) {
     std::optional<ReadingTable::Victim> best;
     size_t best_partition = 0;
     for (size_t p = 0; p < table_.num_partitions(); ++p) {
-      SyncTimedSharedLock<SharedMutex> peek_lock(
-          shard_mutex_.For(shard_node_of_partition_[p]),
-          SyncSite::kShardWriter);
+      ReaderLock peek_lock(shard_mutex_.For(shard_node_of_partition_[p]),
+                           SyncSite::kShardWriter);
       const std::optional<ReadingTable::Victim> cand =
           table_.PeekVictim(p, protect);
       if (cand && (!best || cand->slot < best->slot ||
@@ -374,7 +359,7 @@ void ColrTree::EnforceCacheCapacity(ReadingTable::Key protect) {
     // (deadlock), and local re-resolution suffices: if the partition
     // still offers the same sensor, erasing it keeps the cache moving
     // toward capacity.
-    SyncTimedLock<SharedMutex> shard_lock(
+    MutexLock shard_lock(
         shard_mutex_.For(shard_node_of_partition_[best_partition]),
         SyncSite::kShardWriter);
     if (cached_total_.load(std::memory_order_acquire) <= capacity) return;
@@ -398,17 +383,15 @@ void ColrTree::PropagateAdd(int leaf_id, SlotId slot, double value) {
   int n = leaf_id;
   for (; n >= 0 && arena_.record(n).level > shard_level_;
        n = arena_.record(n).parent) {
-    SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(n),
-                                               SyncSite::kNodeStripe);
+    MutexLock node_lock(node_mutex_.For(n), SyncSite::kNodeStripe);
     caches_[static_cast<size_t>(n)].Add(scheme_, slot, value);
   }
   // Root region: the shard node and its ancestors are shared by every
   // shard, so this short tail (at most shard_level_ + 1 ring updates)
   // merges under root_mutex_.
-  SyncTimedLock<SpinMutex> root_lock(root_mutex_, SyncSite::kRootSpin);
+  MutexLock root_lock(root_mutex_, SyncSite::kRootSpin);
   for (; n >= 0; n = arena_.record(n).parent) {
-    SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(n),
-                                               SyncSite::kNodeStripe);
+    MutexLock node_lock(node_mutex_.For(n), SyncSite::kNodeStripe);
     caches_[static_cast<size_t>(n)].Add(scheme_, slot, value);
   }
 }
@@ -419,8 +402,7 @@ Aggregate ColrTree::LeafSlotAggregate(int leaf_id, SlotId slot) const {
   // list order so the floating-point accumulation order matches the
   // sequential build.
   Aggregate agg;
-  SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(leaf_id),
-                                                   SyncSite::kNodeStripe);
+  ReaderLock node_lock(node_mutex_.For(leaf_id), SyncSite::kNodeStripe);
   for (ReadingTable::Key key : cached_keys_[static_cast<size_t>(leaf_id)]) {
     const Reading* r = table_.Get(key);
     if (r != nullptr && scheme_.SlotOf(r->expiry) == slot) {
@@ -444,8 +426,7 @@ void ColrTree::RecomputeSlotFromChildren(int node_id, SlotId slot) {
   for (;;) {
     uint64_t version;
     {
-      SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                                       SyncSite::kNodeStripe);
+      ReaderLock node_lock(node_mutex_.For(node_id), SyncSite::kNodeStripe);
       version = own_cache.SlotVersion(scheme_, slot);
     }
     Aggregate agg;
@@ -457,14 +438,12 @@ void ColrTree::RecomputeSlotFromChildren(int node_id, SlotId slot) {
       // objects in caches_ — no pointer chasing between children.
       const int child_end = n.child_begin + n.child_count;
       for (int c = n.child_begin; c < child_end; ++c) {
-        SyncTimedSharedLock<SharedMutex> child_lock(
-            node_mutex_.For(c), SyncSite::kNodeStripe);
+        ReaderLock child_lock(node_mutex_.For(c), SyncSite::kNodeStripe);
         agg.Merge(caches_[static_cast<size_t>(c)].Get(scheme_, slot));
       }
     }
     {
-      SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                                 SyncSite::kNodeStripe);
+      MutexLock node_lock(node_mutex_.For(node_id), SyncSite::kNodeStripe);
       if (own_cache.SlotVersion(scheme_, slot) == version) {
         own_cache.Set(scheme_, slot, agg);
         return;
@@ -477,8 +456,7 @@ void ColrTree::RecomputeSlotFromChildren(int node_id, SlotId slot) {
 void ColrTree::RemoveSlotValueAt(int node_id, SlotId slot, double value) {
   bool invertible;
   {
-    SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                         SyncSite::kNodeStripe);
+    MutexLock node_lock(node_mutex_.For(node_id), SyncSite::kNodeStripe);
     invertible =
         caches_[static_cast<size_t>(node_id)].Remove(scheme_, slot, value);
   }
@@ -501,7 +479,7 @@ void ColrTree::PropagateRemove(int leaf_id, SlotId slot, double value) {
   // root-region node are themselves mutated only under root_mutex_
   // (or, for the shard node's children, under this shard's lock,
   // which the caller already holds).
-  SyncTimedLock<SpinMutex> root_lock(root_mutex_, SyncSite::kRootSpin);
+  MutexLock root_lock(root_mutex_, SyncSite::kRootSpin);
   for (; n >= 0; n = arena_.record(n).parent) {
     RemoveSlotValueAt(n, slot, value);
   }
@@ -509,8 +487,7 @@ void ColrTree::PropagateRemove(int leaf_id, SlotId slot, double value) {
 
 void ColrTree::EraseCached(size_t partition, ReadingTable::Key key) {
   const int leaf = leaf_of_sensor_[sensor_order_[key]];
-  SyncTimedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
-                                       SyncSite::kNodeStripe);
+  MutexLock node_lock(node_mutex_.For(leaf), SyncSite::kNodeStripe);
   table_.Erase(partition, scheme_, key);
   auto& keys = cached_keys_[static_cast<size_t>(leaf)];
   auto it = std::find(keys.begin(), keys.end(), key);
@@ -540,8 +517,7 @@ ColrTree::CacheLookup ColrTree::LookupCache(int node_id, TimeMs now,
     // bound), either exactly (including entries in the query slot,
     // §IV-B leaf refinement) or slot-aligned.
     const SlotId qslot = QuerySlot(now, staleness_ms);
-    SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                                     SyncSite::kNodeStripe);
+    ReaderLock node_lock(node_mutex_.For(node_id), SyncSite::kNodeStripe);
     for (ReadingTable::Key key : cached_keys_[static_cast<size_t>(node_id)]) {
       const Reading* cached = table_.Get(key);
       if (cached == nullptr) continue;
@@ -557,14 +533,12 @@ ColrTree::CacheLookup ColrTree::LookupCache(int node_id, TimeMs now,
         continue;
       }
       out.agg.Add(r.value);
-      out.used_sensors.push_back(r.sensor);
       out.used_readings.push_back(r);
     }
     return out;
   }
   const SlotId qslot = QuerySlot(now, staleness_ms);
-  SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                                   SyncSite::kNodeStripe);
+  ReaderLock node_lock(node_mutex_.For(node_id), SyncSite::kNodeStripe);
   out.agg = caches_[static_cast<size_t>(node_id)].QueryNewerThan(
       scheme_, qslot, &out.slots_merged);
   return out;
@@ -575,16 +549,14 @@ int64_t ColrTree::CachedCount(int node_id, TimeMs now,
   const Node& n = arena_.record(node_id);
   if (n.IsLeaf()) {
     int64_t c = 0;
-    SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                                     SyncSite::kNodeStripe);
+    ReaderLock node_lock(node_mutex_.For(node_id), SyncSite::kNodeStripe);
     for (ReadingTable::Key key : cached_keys_[static_cast<size_t>(node_id)]) {
       const Reading* r = table_.Get(key);
       if (r != nullptr && r->ValidAt(now - staleness_ms)) ++c;
     }
     return c;
   }
-  SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                                   SyncSite::kNodeStripe);
+  ReaderLock node_lock(node_mutex_.For(node_id), SyncSite::kNodeStripe);
   return caches_[static_cast<size_t>(node_id)].WeightNewerThan(
       scheme_, QuerySlot(now, staleness_ms));
 }
@@ -593,8 +565,7 @@ std::optional<Reading> ColrTree::CachedReading(SensorId sensor) const {
   if (sensor >= sensors_.size()) return std::nullopt;
   const int leaf = leaf_of_sensor_[sensor];
   if (leaf < 0) return std::nullopt;
-  SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
-                                                   SyncSite::kNodeStripe);
+  ReaderLock node_lock(node_mutex_.For(leaf), SyncSite::kNodeStripe);
   const Reading* r = table_.Get(key_of_sensor_[sensor]);
   if (r == nullptr) return std::nullopt;
   return *r;
@@ -604,8 +575,7 @@ bool ColrTree::CachedInNewerSlot(SensorId sensor, SlotId query_slot) const {
   if (sensor >= sensors_.size()) return false;
   const int leaf = leaf_of_sensor_[sensor];
   if (leaf < 0) return false;
-  SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(leaf),
-                                                   SyncSite::kNodeStripe);
+  ReaderLock node_lock(node_mutex_.For(leaf), SyncSite::kNodeStripe);
   const Reading* r = table_.Get(key_of_sensor_[sensor]);
   if (r == nullptr) return false;
   const SlotId slot = scheme_.SlotOf(r->expiry);
@@ -618,8 +588,7 @@ Status ColrTree::CheckCacheConsistency() const {
   // the reading table leaves: each leaf's cached-sensor list must name
   // exactly the keys of its range that hold a reading, once each, and
   // each such reading must be its key's sensor's.
-  SyncTimedLock<EpochLatch> epoch_lock(epoch_latch_,
-                                       SyncSite::kEpochExclusive);
+  MutexLock epoch_lock(epoch_latch_, SyncSite::kEpochExclusive);
   std::vector<size_t> partition_of(table_.num_keys(), 0);
   size_t leaf_total = 0;
   for (size_t id = 0; id < arena_.size(); ++id) {

@@ -10,7 +10,6 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/sync_stats.h"
 #include "common/thread_annotations.h"
 #include "core/node_arena.h"
 #include "core/reading_table.h"
@@ -234,16 +233,8 @@ class ColrTree {
     /// snapshots stable); any nonzero value flags a protocol gap the
     /// version tags absorbed.
     AtomicCounter<int64_t> slot_recompute_retries = 0;
-    /// Lock-contention counters per sync site (all zeros unless sync
-    /// stats are enabled). Only stamped by MaintenanceSnapshot() —
-    /// the live maintenance() reference keeps an empty snapshot.
-    SyncStatsSnapshot sync;
   };
   const MaintenanceCounters& maintenance() const { return maintenance_; }
-  /// Copy of the maintenance counters with the current process-wide
-  /// sync-stats snapshot stamped into `.sync` — what benches diff
-  /// before/after a run (see SyncStatsDelta / replay::CounterDelta).
-  MaintenanceCounters MaintenanceSnapshot() const;
 
   /// Resolved writer-sharding level (Options::writer_shard_level with
   /// -1 resolved against the built tree's height).
@@ -284,12 +275,9 @@ class ColrTree {
   struct CacheLookup {
     Aggregate agg;
     int slots_merged = 0;
-    /// Sensors whose cached reading was used (leaf lookups only;
-    /// internal lookups report counts via agg.count).
-    std::vector<SensorId> used_sensors;
-    /// The used readings themselves, aligned with used_sensors —
-    /// copied out under the leaf's stripe so callers never hold
-    /// references into the reading table.
+    /// The cached readings used (leaf lookups only; internal lookups
+    /// report counts via agg.count) — copied out under the leaf's
+    /// stripe so callers never hold references into the reading table.
     std::vector<Reading> used_readings;
   };
   /// How leaf entries are admitted against the freshness bound.

@@ -99,12 +99,6 @@ struct Rect {
   void Expand(const Point& p) { *this = Union(FromPoint(p)); }
   void Expand(const Rect& r) { *this = Union(r); }
 
-  /// Area increase caused by enlarging this rect to cover `other`
-  /// (Guttman's insertion heuristic).
-  double Enlargement(const Rect& other) const {
-    return Union(other).Area() - Area();
-  }
-
   bool operator==(const Rect& o) const {
     if (IsEmpty() && o.IsEmpty()) return true;
     return min_x == o.min_x && min_y == o.min_y && max_x == o.max_x &&

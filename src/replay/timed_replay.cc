@@ -68,7 +68,6 @@ ColrTree::MaintenanceCounters CounterDelta(
       after.slot_recomputes.load() - before.slot_recomputes.load();
   d.slot_recompute_retries = after.slot_recompute_retries.load() -
                              before.slot_recompute_retries.load();
-  d.sync = SyncStatsDelta(after.sync, before.sync);
   return d;
 }
 
@@ -98,11 +97,12 @@ TimedReplayReport RunTimedReplay(portal::SensorPortal& portal,
   const std::vector<std::string> texts =
       BuildQueryTexts(workload, options, count);
 
-  // Snapshot the tree's lifetime maintenance counters so the report
-  // covers only what *this run* did (a warm-started tree keeps its
-  // history).
-  const ColrTree::MaintenanceCounters maintenance_before =
-      tree.MaintenanceSnapshot();
+  // Snapshot the tree's lifetime maintenance counters and the
+  // process-wide sync stats so the report covers only what *this run*
+  // did (a warm-started tree keeps its history).
+  const ColrTree::MaintenanceCounters maintenance_before = tree.maintenance();
+  const SyncStatsSnapshot sync_before =
+      SyncStatsRegistry::Instance().Snapshot();
 
   // Align the window to the trace start before any thread launches,
   // then let time move at the requested rate.
@@ -230,8 +230,9 @@ TimedReplayReport RunTimedReplay(portal::SensorPortal& portal,
           ? static_cast<double>(report.collector_inserts) * 1000.0 /
                 report.wall_ms
           : 0.0;
-  report.maintenance =
-      CounterDelta(tree.MaintenanceSnapshot(), maintenance_before);
+  report.maintenance = CounterDelta(tree.maintenance(), maintenance_before);
+  report.sync =
+      SyncStatsDelta(SyncStatsRegistry::Instance().Snapshot(), sync_before);
   const TimeMs t_max = tree.t_max_ms();
   if (t_max > 0 && report.trace_span_ms > 0) {
     report.rolls_per_tmax =

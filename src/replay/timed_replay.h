@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/sync_stats.h"
 #include "core/tree.h"
 #include "portal/portal.h"
 #include "sensor/network.h"
@@ -74,10 +75,11 @@ struct TimedReplayReport {
   /// The tree's maintenance counters accumulated *by this run*: the
   /// difference between the post-quiescence counters and a snapshot
   /// taken at replay start, so a warm-started (pre-rolled, pre-filled)
-  /// tree does not inflate rolls, expunges or rolls_per_tmax. Its
-  /// `.sync` member carries the per-run lock-contention deltas when
-  /// sync stats are enabled (sync_stats.h; all zeros otherwise).
+  /// tree does not inflate rolls, expunges or rolls_per_tmax.
   ColrTree::MaintenanceCounters maintenance;
+  /// Per-run lock-contention deltas of the process-wide registry when
+  /// sync stats are enabled (sync_stats.h; all zeros otherwise).
+  SyncStatsSnapshot sync;
   /// Trace span covered by the replay (first to last query arrival).
   TimeMs trace_span_ms = 0;
   /// Window rolls per t_max of trace time — >= 1 once the clock truly

@@ -563,11 +563,11 @@ TEST(SyncStatsJsonTest, LiveRecorderMaintainsHistogramInvariant) {
   const SyncStatsSnapshot before = SyncStatsRegistry::Instance().Snapshot();
   SpinMutex mu;
   for (int i = 0; i < 64; ++i) {
-    SyncTimedLock<SpinMutex> lock(mu, SyncSite::kRootSpin);
+    MutexLock lock(mu, SyncSite::kRootSpin);
   }
   mu.lock();
   std::thread waiter([&mu] {
-    SyncTimedLock<SpinMutex> lock(mu, SyncSite::kRootSpin);
+    MutexLock lock(mu, SyncSite::kRootSpin);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   mu.unlock();

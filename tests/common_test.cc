@@ -382,7 +382,7 @@ TEST(SyncStatsHistTest, BucketsSumToAcquisitionsDrivenThroughTimedLock) {
   // Uncontended acquisitions land in bucket 0 via the try_lock fast
   // path.
   for (int i = 0; i < 100; ++i) {
-    SyncTimedLock<Mutex> lock(mu, SyncSite::kProbeFlight);
+    MutexLock lock(mu, SyncSite::kProbeFlight);
   }
   // Force at least one contended acquisition: the helper holds the
   // lock until the main thread is provably blocked inside lock().
@@ -395,7 +395,7 @@ TEST(SyncStatsHistTest, BucketsSumToAcquisitionsDrivenThroughTimedLock) {
       mu.unlock();
     });
     while (!helper_has_lock.load()) std::this_thread::yield();
-    SyncTimedLock<Mutex> lock(mu, SyncSite::kProbeFlight);
+    MutexLock lock(mu, SyncSite::kProbeFlight);
     helper.join();
   }
 

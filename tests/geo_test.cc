@@ -83,12 +83,6 @@ TEST(RectTest, UnionAndExpand) {
   EXPECT_DOUBLE_EQ(e.Area(), 0.0);
 }
 
-TEST(RectTest, Enlargement) {
-  Rect a = Rect::FromCorners(0, 0, 2, 2);
-  EXPECT_DOUBLE_EQ(a.Enlargement(Rect::FromCorners(1, 1, 2, 2)), 0.0);
-  EXPECT_DOUBLE_EQ(a.Enlargement(Rect::FromCorners(0, 0, 4, 2)), 4.0);
-}
-
 TEST(RectPropertyTest, UnionCommutativeAndContainsBoth) {
   Rng rng(1);
   for (int i = 0; i < 500; ++i) {

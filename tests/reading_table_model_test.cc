@@ -231,10 +231,7 @@ TEST_P(ReadingTableModelTest, TreeCacheMatchesSequentialModel) {
           }
         }
         std::map<SensorId, double> have;
-        ASSERT_EQ(got.used_sensors.size(), got.used_readings.size());
-        for (size_t i = 0; i < got.used_sensors.size(); ++i) {
-          have[got.used_sensors[i]] = got.used_readings[i].value;
-        }
+        for (const Reading& r : got.used_readings) have[r.sensor] = r.value;
         ASSERT_EQ(have, want) << "op " << op << " leaf " << leaf;
         ASSERT_EQ(got.agg.count, want_agg.count);
         ExpectSameSum(got.agg.sum, want_agg.sum);

@@ -4,7 +4,6 @@
 // Must compile cleanly under `clang -Werror=thread-safety`; if it
 // doesn't, the negative test's failure proves nothing.
 #include "common/sync.h"
-#include "common/sync_stats.h"
 #include "common/thread_annotations.h"
 
 namespace colr {
@@ -15,14 +14,12 @@ struct WindowState {
 };
 
 int ReadWithSharedLatch(WindowState& state) {
-  SyncTimedSharedLock<EpochLatch> lock(state.epoch_latch_,
-                                       SyncSite::kEpochShared);
+  ReaderLock lock(state.epoch_latch_, SyncSite::kEpochShared);
   return state.newest_slot;
 }
 
 void WriteWithExclusiveLatch(WindowState& state, int slot) {
-  SyncTimedLock<EpochLatch> lock(state.epoch_latch_,
-                                 SyncSite::kEpochExclusive);
+  MutexLock lock(state.epoch_latch_, SyncSite::kEpochExclusive);
   state.newest_slot = slot;
 }
 

@@ -318,8 +318,8 @@ TEST(ColrTreeLookupTest, LeafLookupExactAndInternalConservative) {
 
   auto lookup = tree.LookupCache(leaf, now, 5 * kMin);
   EXPECT_EQ(lookup.agg.count, 1);
-  ASSERT_EQ(lookup.used_sensors.size(), 1u);
-  EXPECT_EQ(lookup.used_sensors[0], sensors[0].id);
+  ASSERT_EQ(lookup.used_readings.size(), 1u);
+  EXPECT_EQ(lookup.used_readings[0].sensor, sensors[0].id);
 
   // Once the reading's validity ends before the freshness bound, the
   // lookup must not use it: reading expires at now + 5 min; at
@@ -385,9 +385,9 @@ TEST(ColrTreeLookupTest, LeafRegionFilter) {
   Rect excluding = Rect::FromCorners(loc.x + 1, loc.y + 1, loc.x + 2,
                                      loc.y + 2);
   auto filtered = tree.LookupCache(leaf, now, 5 * kMin, &excluding);
-  for (SensorId sid : filtered.used_sensors) {
-    EXPECT_NE(sid, sensors[0].id);
-    EXPECT_TRUE(excluding.Contains(tree.sensor(sid).location));
+  for (const Reading& r : filtered.used_readings) {
+    EXPECT_NE(r.sensor, sensors[0].id);
+    EXPECT_TRUE(excluding.Contains(tree.sensor(r.sensor).location));
   }
   auto unfiltered = tree.LookupCache(leaf, now, 5 * kMin);
   EXPECT_GE(unfiltered.agg.count, 1);
