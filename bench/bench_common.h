@@ -106,15 +106,8 @@ class Testbed {
     network_ = std::make_unique<SensorNetwork>(workload.sensors, &clock_);
     network_->set_value_fn(MakeRestaurantWaitingTimeFn());
     ColrTree::Options topts;
-    topts.cluster.fanout = 8;
-    topts.cluster.leaf_capacity = 32;
     topts.cache_capacity = cache_capacity;
-    TimeMs t_max = 0;
-    for (const auto& s : workload.sensors) {
-      t_max = std::max(t_max, s.expiry_ms);
-    }
-    topts.t_max_ms = t_max;
-    topts.slot_delta_ms = slot_delta_ms > 0 ? slot_delta_ms : t_max / 4;
+    topts.slot_delta_ms = slot_delta_ms;
     tree_ = std::make_unique<ColrTree>(workload.sensors, topts);
     ColrEngine::Options eopts;
     eopts.mode = mode;

@@ -32,8 +32,6 @@ std::vector<SensorInfo> BenchSensors(int n, uint64_t seed = 1) {
 
 ColrTree::Options BenchTreeOptions(size_t capacity = 0) {
   ColrTree::Options opts;
-  opts.cluster.fanout = 8;
-  opts.cluster.leaf_capacity = 32;
   opts.slot_delta_ms = kMin;
   opts.t_max_ms = 5 * kMin;
   opts.cache_capacity = capacity;
@@ -115,11 +113,8 @@ void BM_ClusterTreeBuild(benchmark::State& state) {
   auto sensors = BenchSensors(static_cast<int>(state.range(0)));
   std::vector<Point> points;
   for (const auto& s : sensors) points.push_back(s.location);
-  ClusterTreeOptions opts;
-  opts.fanout = 8;
-  opts.leaf_capacity = 32;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildClusterTree(points, opts));
+    benchmark::DoNotOptimize(BuildClusterTree(points));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -56,13 +56,7 @@ replay::TimedReplayReport RunOnce(const LiveLocalWorkload& workload,
   network.set_value_fn(MakeRestaurantWaitingTimeFn());
 
   ColrTree::Options topts;
-  topts.cluster.fanout = 8;
-  topts.cluster.leaf_capacity = 32;
   topts.cache_capacity = workload.sensors.size() / 4;
-  TimeMs t_max = 0;
-  for (const auto& s : workload.sensors) t_max = std::max(t_max, s.expiry_ms);
-  topts.t_max_ms = t_max;
-  topts.slot_delta_ms = t_max / 4;
   ColrTree tree(workload.sensors, topts);
 
   ColrEngine::Options eopts;

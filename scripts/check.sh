@@ -108,17 +108,18 @@ echo "== fuzz + probe path: ASan+UBSan =="
 # address+undefined build turns any over-read or UB in the parsing
 # paths into an abort. Override COLR_FUZZ_ITERS to go deeper.
 # The probe path indexes per-sensor arrays (scheduler state, the
-# query deduper's marks) by sensor id, where a bad id is a raw
-# out-of-bounds access: the UBSan leg does not bounds-check
-# std::vector, so its suites run here too.
+# query deduper's marks, the network's per-sensor probe counts) by
+# sensor id, where a bad id is a raw out-of-bounds access: the UBSan
+# leg does not bounds-check std::vector, so its suites run here too.
 cmake -B build-asan -S . -DCOLR_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$jobs" --target net_codec_test \
-  probe_scheduler_test engine_test probe_path_alloc_test
+  probe_scheduler_test engine_test probe_path_alloc_test sensor_test
 COLR_FUZZ_ITERS="${COLR_FUZZ_ITERS:-100000}" \
   ./build-asan/tests/net_codec_test --gtest_filter='*Garbage*:*Truncated*'
 ./build-asan/tests/probe_scheduler_test
 ./build-asan/tests/engine_test
 ./build-asan/tests/probe_path_alloc_test
+./build-asan/tests/sensor_test
 
 echo "== flash crowd: cross-query coalescing smoke =="
 # The probe scheduler's reason to exist: when concurrent streams slam

@@ -146,7 +146,7 @@ LAYERING_DEPS = {
     "cluster": ("common", "geo"),
     "workload": ("common", "geo", "sensor"),
     "core": ("common", "geo", "sensor", "cluster"),
-    "rtree": ("common", "geo", "sensor", "relational", "cluster", "core"),
+    "rtree": ("common", "geo", "cluster", "core"),
     "relcolr": ("common", "geo", "sensor", "relational", "cluster", "core"),
     "portal": ("common", "geo", "sensor", "relational", "cluster", "core"),
     "replay": ("common", "geo", "sensor", "relational", "cluster", "core",

@@ -10,15 +10,10 @@ namespace {
 
 std::vector<Point> SeedCentroids(const std::vector<Point>& points,
                                  const std::vector<int>& indices, int k,
-                                 Rng& rng, bool plus_plus) {
+                                 Rng& rng) {
   std::vector<Point> centroids;
   centroids.reserve(k);
   const int n = static_cast<int>(indices.size());
-  if (!plus_plus) {
-    auto picks = rng.SampleWithoutReplacement(n, k);
-    for (uint64_t p : picks) centroids.push_back(points[indices[p]]);
-    return centroids;
-  }
   // k-means++: first centroid uniform, then D^2-weighted picks.
   centroids.push_back(points[indices[rng.UniformInt(n)]]);
   std::vector<double> d2(n, std::numeric_limits<double>::infinity());
@@ -67,8 +62,7 @@ KMeansResult KMeansSubset(const std::vector<Point>& points,
     return result;
   }
 
-  result.centroids =
-      SeedCentroids(points, indices, k, rng, options.plus_plus_seeding);
+  result.centroids = SeedCentroids(points, indices, k, rng);
   result.assignment.assign(n, -1);
 
   std::vector<double> sum_x(k), sum_y(k);
@@ -121,7 +115,7 @@ KMeansResult KMeansSubset(const std::vector<Point>& points,
         changed = true;
       }
     }
-    if (options.early_stop && !changed) break;
+    if (!changed) break;
   }
   return result;
 }

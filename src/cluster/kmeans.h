@@ -9,11 +9,9 @@
 namespace colr {
 
 struct KMeansOptions {
+  /// Lloyd iterations at most; the loop stops early once no
+  /// assignment changes.
   int max_iterations = 25;
-  /// Stop early when no assignment changes.
-  bool early_stop = true;
-  /// Use k-means++ seeding (D^2 weighting); plain random otherwise.
-  bool plus_plus_seeding = true;
 };
 
 struct KMeansResult {
@@ -25,10 +23,11 @@ struct KMeansResult {
   double inertia = 0.0;
 };
 
-/// Lloyd's k-means over 2D points. Never returns empty clusters: a
-/// cluster that empties out is re-seeded with the point farthest from
-/// its centroid. If k >= points.size(), each point gets its own
-/// cluster. Used by the COLR-Tree batch builder (§III-C).
+/// Lloyd's k-means over 2D points, seeded by k-means++ (D^2
+/// weighting). Never returns empty clusters: a cluster that empties
+/// out is re-seeded with the point farthest from its centroid. If
+/// k >= points.size(), each point gets its own cluster. Used by the
+/// COLR-Tree batch builder (§III-C).
 KMeansResult KMeans(const std::vector<Point>& points, int k, Rng& rng,
                     const KMeansOptions& options = {});
 

@@ -69,15 +69,12 @@ std::vector<Reading> ColrEngine::ProbeBatch(const std::vector<SensorId>& ids,
   Stopwatch watch;
   ProbeScheduler::BatchOutcome batch = scheduler_->ProbeBatch(ids);
   acct->sim_wall_ms += watch.ElapsedMillis();
-  acct->requested += static_cast<int64_t>(batch.requested);
   acct->attempted += static_cast<int64_t>(batch.issued_ids.size());
   acct->succeeded += static_cast<int64_t>(batch.readings.size());
   acct->coalesced += static_cast<int64_t>(batch.coalesced);
   acct->reused += static_cast<int64_t>(batch.reused);
   acct->shed += static_cast<int64_t>(batch.shed);
   acct->total_latency_ms += batch.latency_ms;
-  acct->max_batch_latency_ms =
-      std::max(acct->max_batch_latency_ms, batch.latency_ms);
   if (tracker_ != nullptr) {
     // Availability evidence covers exactly the probes *this query*
     // issued (coalesced/reused requests were someone else's probe —

@@ -150,8 +150,6 @@ class ColrEngine {
   friend struct ColrEngineTestPeer;
 
   struct ProbeAccounting {
-    /// Probe requests this query made (pre-scheduling occurrences).
-    int64_t requested = 0;
     /// Probes actually issued to the network on this query's behalf;
     /// this is what stats.sensors_probed reports, so summed over all
     /// queries it equals the network's probe counter exactly.
@@ -166,7 +164,6 @@ class ColrEngine {
     /// the query's total simulated data-collection time. A
     /// single-batch query's total equals its max.
     TimeMs total_latency_ms = 0;
-    TimeMs max_batch_latency_ms = 0;
     /// Wall-clock time spent inside the simulated network; excluded
     /// from processing_ms (a real deployment overlaps collection with
     /// processing, and the simulator's CPU cost is an artifact).

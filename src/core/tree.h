@@ -88,11 +88,6 @@ class ColrTree {
     TimeMs slot_delta_ms = 0;
     /// Maximum sensor expiry period t_max. 0 = derive from sensors.
     TimeMs t_max_ms = 0;
-    /// How long past its expiry a reading may stay in the window.
-    /// Queries with staleness bound S can use readings that expired up
-    /// to S ago (DESIGN.md freshness semantics), so the window keeps
-    /// this much history beyond t_max. Negative = default to t_max.
-    TimeMs stale_margin_ms = -1;
     /// Raw-reading cache capacity (number of readings); 0 = unbounded.
     size_t cache_capacity = 0;
     /// Level of the "shard node" partitioning concurrent writers:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace colr::rel {
 
@@ -56,6 +57,14 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
+struct RowHash {
+  size_t operator()(const Row& key) const {
+    size_t h = 0x811C9DC5u;
+    for (const Value& v : key) h = h * 16777619u ^ v.Hash();
+    return h;
+  }
+};
+
 Row Concat(const Row& a, const Row& b) {
   Row out = a;
   out.insert(out.end(), b.begin(), b.end());
@@ -97,22 +106,6 @@ Relation HashJoin(const Relation& left, const std::string& left_key,
   return out;
 }
 
-Relation NestedLoopJoin(
-    const Relation& left, const Relation& right,
-    const std::function<bool(const Row&)>& condition) {
-  Relation out;
-  out.columns = left.columns;
-  out.columns.insert(out.columns.end(), right.columns.begin(),
-                     right.columns.end());
-  for (const Row& l : left.rows) {
-    for (const Row& r : right.rows) {
-      Row combined = Concat(l, r);
-      if (condition(combined)) out.rows.push_back(std::move(combined));
-    }
-  }
-  return out;
-}
-
 Relation GroupAggregate(const Relation& in,
                         const std::vector<std::string>& group_columns,
                         const std::vector<AggSpec>& aggs) {
@@ -136,18 +129,7 @@ Relation GroupAggregate(const Relation& in,
     int64_t non_null = 0;
   };
 
-  struct KeyHash {
-    size_t operator()(const Row& key) const {
-      size_t h = 0x811C9DC5u;
-      for (const Value& v : key) h = h * 16777619u ^ v.Hash();
-      return h;
-    }
-  };
-  struct KeyEq {
-    bool operator()(const Row& a, const Row& b) const { return a == b; }
-  };
-
-  std::unordered_map<Row, std::vector<Acc>, KeyHash, KeyEq> groups;
+  std::unordered_map<Row, std::vector<Acc>, RowHash> groups;
   std::vector<Row> key_order;
   for (const Row& row : in.rows) {
     Row key;
@@ -213,40 +195,12 @@ Relation GroupAggregate(const Relation& in,
   return out;
 }
 
-Relation OrderBy(const Relation& in, const std::string& column, bool desc) {
-  Relation out = in;
-  const int idx = out.IndexOf(column);
-  if (idx < 0) return out;
-  std::stable_sort(out.rows.begin(), out.rows.end(),
-                   [idx, desc](const Row& a, const Row& b) {
-                     return desc ? b[idx] < a[idx] : a[idx] < b[idx];
-                   });
-  return out;
-}
-
-Relation Union(const Relation& a, const Relation& b) {
-  Relation out = a;
-  if (out.columns.empty()) out.columns = b.columns;
-  out.rows.insert(out.rows.end(), b.rows.begin(), b.rows.end());
-  return out;
-}
-
 Relation Distinct(const Relation& in) {
-  struct KeyHash {
-    size_t operator()(const Row& key) const {
-      size_t h = 0x811C9DC5u;
-      for (const Value& v : key) h = h * 16777619u ^ v.Hash();
-      return h;
-    }
-  };
-  struct KeyEq {
-    bool operator()(const Row& a, const Row& b) const { return a == b; }
-  };
   Relation out;
   out.columns = in.columns;
-  std::unordered_map<Row, bool, KeyHash, KeyEq> seen;
+  std::unordered_set<Row, RowHash> seen;
   for (const Row& row : in.rows) {
-    if (seen.emplace(row, true).second) out.rows.push_back(row);
+    if (seen.insert(row).second) out.rows.push_back(row);
   }
   return out;
 }

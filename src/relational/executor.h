@@ -46,12 +46,6 @@ Relation Project(const Relation& in,
 Relation HashJoin(const Relation& left, const std::string& left_key,
                   const Relation& right, const std::string& right_key);
 
-/// Nested-loop join with an arbitrary condition over the concatenated
-/// row (left columns then right columns).
-Relation NestedLoopJoin(
-    const Relation& left, const Relation& right,
-    const std::function<bool(const Row&)>& condition);
-
 /// Aggregation functions for GroupAggregate.
 enum class AggFn { kCount, kSum, kMin, kMax, kAvg };
 
@@ -69,13 +63,6 @@ struct AggSpec {
 Relation GroupAggregate(const Relation& in,
                         const std::vector<std::string>& group_columns,
                         const std::vector<AggSpec>& aggs);
-
-/// ORDER BY a column ascending (descending if desc).
-Relation OrderBy(const Relation& in, const std::string& column,
-                 bool desc = false);
-
-/// Concatenates relations with identical column lists.
-Relation Union(const Relation& a, const Relation& b);
 
 /// Removes exact duplicate rows.
 Relation Distinct(const Relation& in);

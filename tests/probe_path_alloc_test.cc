@@ -72,8 +72,6 @@ TEST(ProbePathAllocTest, RangeQueriesAllocateNothingPerProbedSensor) {
                          /*availability=*/0.8, rng),
       &clock);
   ColrTree::Options topts;
-  topts.cluster.fanout = 8;
-  topts.cluster.leaf_capacity = 32;
   topts.slot_delta_ms = kMin;
   topts.t_max_ms = 5 * kMin;
   ColrTree tree(network.sensors(), topts);

@@ -49,17 +49,7 @@ struct ReplayRig {
                                               nopts);
     network->set_value_fn(MakeRestaurantWaitingTimeFn());
 
-    ColrTree::Options topts;
-    topts.cluster.fanout = 8;
-    topts.cluster.leaf_capacity = 32;
-    topts.cache_capacity = 0;
-    TimeMs t_max = 0;
-    for (const auto& s : workload.sensors) {
-      t_max = std::max(t_max, s.expiry_ms);
-    }
-    topts.t_max_ms = t_max;
-    topts.slot_delta_ms = t_max / 4;
-    tree = std::make_unique<ColrTree>(workload.sensors, topts);
+    tree = std::make_unique<ColrTree>(workload.sensors, ColrTree::Options());
 
     ColrEngine::Options eopts;
     eopts.mode = ColrEngine::Mode::kColr;
