@@ -152,8 +152,6 @@ TEST(ConcurrencyTest, NoCacheInsertionIsLost) {
 
 TEST(ConcurrencyTest, ParallelProbeBatchKeepsSemantics) {
   Harness h(/*cache_capacity=*/0);
-  ThreadPool pool(4);
-  h.network->set_thread_pool(&pool);
 
   std::vector<SensorId> ids;
   for (SensorId s = 0; s < 200; ++s) ids.push_back(s);
@@ -185,7 +183,7 @@ TEST(ConcurrencyTest, NestedParallelForDoesNotDeadlock) {
   pool.ParallelFor(8, 1, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       // Nested use: the inner loop runs on the same pool from inside a
-      // pooled task (the ProbeBatch-inside-query shape).
+      // pooled task.
       pool.ParallelFor(16, 4, [&](size_t b, size_t e) {
         total.fetch_add(static_cast<int>(e - b));
       });
